@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use minnow_graph::{Csr, NodeId};
-use minnow_runtime::{Operator, PolicyKind, SpecWrite, Task, TaskCtx};
+use minnow_runtime::{Operator, PolicyKind, Task, TaskCtx};
 
 /// Unreached depth.
 pub const UNREACHED: u64 = u64::MAX;
@@ -58,9 +58,6 @@ impl Operator for Bfs {
     }
 
     fn execute(&mut self, task: Task, ctx: &mut TaskCtx) {
-        // Direct fast path. Must stay in observable lockstep with
-        // execute_spec + apply_spec (same trace accesses, same functional
-        // writes) — the spec-on/off differential suites enforce it.
         let v = task.node;
         ctx.load_node(v);
         ctx.add_instrs(10);
@@ -86,50 +83,6 @@ impl Operator for Bfs {
                 self.depth[u as usize] = d + 1;
                 ctx.atomic_node(u);
                 ctx.push(Task::new(d + 1, u));
-            }
-        }
-    }
-
-    fn execute_spec(&self, task: Task, ctx: &mut TaskCtx) -> bool {
-        // Slot 0 journals `depth`. Reads overlay the journal over the
-        // committed array so intra-task read-after-write behaves exactly
-        // like the in-place original.
-        let v = task.node;
-        ctx.load_node(v);
-        ctx.add_instrs(10);
-        let dv = ctx.spec_get(0, v).unwrap_or(self.depth[v as usize]);
-        if dv < task.priority {
-            ctx.add_branches(1);
-            return true; // stale: reached at a smaller depth already
-        }
-        if dv > task.priority {
-            ctx.spec_assign(0, v, task.priority);
-            ctx.store_node(v);
-        }
-        let d = dv.min(task.priority);
-        let graph = self.graph.clone();
-        let base = graph.edge_range(v).start;
-        for slot in task.resolve_range(graph.out_degree(v)) {
-            let e = base + slot;
-            let u = graph.edge_dst(e);
-            ctx.load_edge(e, u);
-            ctx.load_node(u);
-            ctx.add_branches(1);
-            ctx.add_instrs(8);
-            let du = ctx.spec_get(0, u).unwrap_or(self.depth[u as usize]);
-            if du > d + 1 {
-                ctx.spec_assign(0, u, d + 1);
-                ctx.atomic_node(u);
-                ctx.push(Task::new(d + 1, u));
-            }
-        }
-        true
-    }
-
-    fn apply_spec(&mut self, ctx: &TaskCtx) {
-        for w in ctx.spec_log() {
-            if let SpecWrite::Assign { slot: 0, node, bits } = *w {
-                self.depth[node as usize] = bits;
             }
         }
     }

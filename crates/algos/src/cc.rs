@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use minnow_graph::{Csr, NodeId};
-use minnow_runtime::{Operator, PolicyKind, SpecWrite, Task, TaskCtx};
+use minnow_runtime::{Operator, PolicyKind, Task, TaskCtx};
 
 /// The CC operator.
 #[derive(Debug)]
@@ -55,9 +55,6 @@ impl Operator for Cc {
     }
 
     fn execute(&mut self, task: Task, ctx: &mut TaskCtx) {
-        // Direct fast path; must stay in observable lockstep with
-        // execute_spec + apply_spec (enforced by the spec differential
-        // suites).
         let v = task.node;
         ctx.load_node(v);
         ctx.add_instrs(6);
@@ -79,48 +76,6 @@ impl Operator for Cc {
                 self.label[u as usize] = l;
                 ctx.atomic_node(u);
                 ctx.push(Task::new(l as u64, u));
-            }
-        }
-    }
-
-    fn execute_spec(&self, task: Task, ctx: &mut TaskCtx) -> bool {
-        // Slot 0 journals `label` (widened to u64 bits); reads overlay
-        // the journal.
-        let v = task.node;
-        ctx.load_node(v);
-        ctx.add_instrs(6);
-        let l = ctx
-            .spec_get(0, v)
-            .map_or(self.label[v as usize], |bits| bits as u32);
-        if (l as u64) < task.priority {
-            ctx.add_branches(1);
-            return true; // a smaller label already propagated through v
-        }
-        let graph = self.graph.clone();
-        let base = graph.edge_range(v).start;
-        for slot in task.resolve_range(graph.out_degree(v)) {
-            let e = base + slot;
-            let u = graph.edge_dst(e);
-            ctx.load_edge(e, u);
-            ctx.load_node(u);
-            ctx.add_branches(1);
-            ctx.add_instrs(5);
-            let lu = ctx
-                .spec_get(0, u)
-                .map_or(self.label[u as usize], |bits| bits as u32);
-            if l < lu {
-                ctx.spec_assign(0, u, l as u64);
-                ctx.atomic_node(u);
-                ctx.push(Task::new(l as u64, u));
-            }
-        }
-        true
-    }
-
-    fn apply_spec(&mut self, ctx: &TaskCtx) {
-        for w in ctx.spec_log() {
-            if let SpecWrite::Assign { slot: 0, node, bits } = *w {
-                self.label[node as usize] = bits as u32;
             }
         }
     }

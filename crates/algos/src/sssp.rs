@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use minnow_graph::{Csr, NodeId};
-use minnow_runtime::{Operator, PolicyKind, SpecWrite, Task, TaskCtx};
+use minnow_runtime::{Operator, PolicyKind, Task, TaskCtx};
 
 /// Unreached distance.
 pub const INF: u64 = u64::MAX;
@@ -89,9 +89,6 @@ impl Operator for Sssp {
     }
 
     fn execute(&mut self, task: Task, ctx: &mut TaskCtx) {
-        // Direct fast path; must stay in observable lockstep with
-        // execute_spec + apply_spec (enforced by the spec differential
-        // suites).
         let v = task.node;
         ctx.load_node(v);
         ctx.add_instrs(14);
@@ -120,50 +117,6 @@ impl Operator for Sssp {
                 self.dist[u as usize] = nd;
                 ctx.atomic_node(u);
                 ctx.push(Task::new(nd, u));
-            }
-        }
-    }
-
-    fn execute_spec(&self, task: Task, ctx: &mut TaskCtx) -> bool {
-        // Slot 0 journals `dist`; reads overlay the journal.
-        let v = task.node;
-        ctx.load_node(v);
-        ctx.add_instrs(14);
-        let dv = ctx.spec_get(0, v).unwrap_or(self.dist[v as usize]);
-        let d = dv.min(task.priority);
-        if dv < task.priority {
-            // A shorter path already propagated from this node.
-            ctx.add_branches(1);
-            return true;
-        }
-        if dv > task.priority {
-            ctx.spec_assign(0, v, task.priority);
-            ctx.store_node(v);
-        }
-        let graph = self.graph.clone();
-        let base = graph.edge_range(v).start;
-        for slot in task.resolve_range(graph.out_degree(v)) {
-            let e = base + slot;
-            let u = graph.edge_dst(e);
-            let w = graph.edge_weight(e) as u64;
-            ctx.load_edge(e, u);
-            ctx.load_node(u);
-            ctx.add_branches(1);
-            ctx.add_instrs(10);
-            let nd = d + w;
-            if nd < ctx.spec_get(0, u).unwrap_or(self.dist[u as usize]) {
-                ctx.spec_assign(0, u, nd);
-                ctx.atomic_node(u);
-                ctx.push(Task::new(nd, u));
-            }
-        }
-        true
-    }
-
-    fn apply_spec(&mut self, ctx: &TaskCtx) {
-        for w in ctx.spec_log() {
-            if let SpecWrite::Assign { slot: 0, node, bits } = *w {
-                self.dist[node as usize] = bits;
             }
         }
     }

@@ -313,33 +313,16 @@ pub struct SweepConfig {
     /// simulation results or the JSONL artifact — traces are exported
     /// separately (see [`SweepResult::chrome_trace_json`]).
     pub trace: bool,
-    /// Host threads simulating each *single* point (bound-weave mode when
-    /// `>= 2`; distinct from [`SweepConfig::threads`], the across-point
-    /// pool). Simulated results — JSONL, breakdowns, traces — are
-    /// byte-identical for every value; only host wall-clock changes.
-    /// Traced points always run serially regardless of this setting.
+    /// Accepted and ignored: every point simulates on one host thread,
+    /// and [`SweepConfig::threads`] is the only host parallelism. Kept
+    /// for callers built against the earlier multi-thread runner.
     pub point_threads: usize,
     /// Run every point on this external graph instead of its generated
-    /// input (see [`BenchRun::input`]). Like `point_threads`, this is an
-    /// execution-level override: it is not serialized into the per-point
+    /// input (see [`BenchRun::input`]). This is an execution-level
+    /// override: it is not serialized into the per-point
     /// JSONL records, so sweeps over the *same graph* delivered through
     /// different paths (text file, image, mmap) stay byte-identical.
     pub input: Option<InputSpec>,
-    /// Skip the adaptive serial fallback: every point with
-    /// `point_threads >= 2` runs the sharded weave even when the workload
-    /// is tiny or the host is narrow. Determinism suites and CI set this
-    /// so byte-identity checks actually exercise the sharded path.
-    pub pin_point_threads: bool,
-    /// Explicit front-shard count within each point's `point_threads`
-    /// budget (see `minnow_runtime::sim_exec::ExecConfig::front_shards`).
-    /// `None` lets the planner split the budget. Outcome-neutral: every
-    /// artifact is byte-identical for every value.
-    pub front_shards: Option<usize>,
-    /// Speculative shard overlap toggle (see
-    /// `minnow_runtime::sim_exec::ExecConfig::speculate`). `None` defers
-    /// to `MINNOW_SPECULATE` and the on-by-default. Outcome-neutral like
-    /// every other host-threading knob.
-    pub speculate: Option<bool>,
 }
 
 impl SweepConfig {
@@ -351,9 +334,6 @@ impl SweepConfig {
             trace: false,
             point_threads: 1,
             input: None,
-            pin_point_threads: false,
-            front_shards: None,
-            speculate: None,
         }
     }
 
@@ -366,36 +346,13 @@ impl SweepConfig {
             trace: false,
             point_threads: 1,
             input: None,
-            pin_point_threads: false,
-            front_shards: None,
-            speculate: None,
         }
     }
 
-    /// Same configuration with a different per-point thread count.
+    /// Same configuration with a different per-point thread count
+    /// (accepted and ignored; see [`SweepConfig::point_threads`]).
     pub fn with_point_threads(mut self, point_threads: usize) -> Self {
         self.point_threads = point_threads;
-        self
-    }
-
-    /// Same configuration with the adaptive serial fallback disabled
-    /// (see [`SweepConfig::pin_point_threads`]).
-    pub fn with_pinned_point_threads(mut self) -> Self {
-        self.pin_point_threads = true;
-        self
-    }
-
-    /// Same configuration with an explicit front-shard count (see
-    /// [`SweepConfig::front_shards`]).
-    pub fn with_front_shards(mut self, front: usize) -> Self {
-        self.front_shards = Some(front);
-        self
-    }
-
-    /// Same configuration with the speculation toggle pinned (see
-    /// [`SweepConfig::speculate`]).
-    pub fn with_speculate(mut self, on: bool) -> Self {
-        self.speculate = Some(on);
         self
     }
 
@@ -500,17 +457,6 @@ pub struct SweepResult {
     pub points: Vec<PointResult>,
     /// Pool threads actually used (volatile; not part of any record).
     pub pool_threads: usize,
-    /// Per-point simulation threads used (volatile; not part of any
-    /// record — simulated results are identical for every value).
-    pub point_threads: usize,
-    /// Requested front-shard override, echoed into the bench document
-    /// header so multi-line baseline files stay self-describing even on
-    /// hosts where the adaptive planner fell back to the serial path
-    /// (volatile, like `point_threads`).
-    pub front_shards: Option<usize>,
-    /// Requested speculation toggle, echoed into the bench document
-    /// header (volatile, like `front_shards`).
-    pub speculate: Option<bool>,
     /// Wall-clock duration of the whole sweep (volatile).
     pub wall: Duration,
     /// Selected points left unexecuted because [`SweepHooks::cancel`]
@@ -577,10 +523,6 @@ pub fn run_sweep_observed(sweep: &Sweep, cfg: &SweepConfig, hooks: &SweepHooks) 
                     }
                     let point = selected[slot];
                     let mut run = point.run.clone();
-                    run.point_threads = cfg.point_threads.max(1);
-                    run.pin_point_threads = cfg.pin_point_threads;
-                    run.front_shards = cfg.front_shards;
-                    run.speculate = cfg.speculate;
                     if cfg.input.is_some() {
                         run.input = cfg.input.clone();
                     }
@@ -624,9 +566,6 @@ pub fn run_sweep_observed(sweep: &Sweep, cfg: &SweepConfig, hooks: &SweepHooks) 
         ingest: None,
         points,
         pool_threads: pool,
-        point_threads: cfg.point_threads.max(1),
-        front_shards: cfg.front_shards,
-        speculate: cfg.speculate,
         wall: t0.elapsed(),
         skipped,
     }
@@ -775,23 +714,9 @@ impl SweepResult {
             }
         };
         let points = crate::json::array(self.points.iter().map(|p| {
-            let hold = crate::json::array(
-                p.report.front_hold_us.iter().map(|us| us.to_string()),
-            );
-            let wait = crate::json::array(
-                p.report.front_wait_us.iter().map(|us| us.to_string()),
-            );
             JsonObject::new()
                 .str("id", &p.id)
-                .u64("pt_used", p.report.point_threads_used as u64)
-                .u64("pt_front_used", p.report.front_threads_used as u64)
-                .u64("pt_lane_used", p.report.lane_threads_used as u64)
                 .u64("wall_us", p.wall.as_micros() as u64)
-                .u64("spec_attempts", p.report.spec_attempts)
-                .u64("spec_commits", p.report.spec_commits)
-                .u64("spec_rollbacks", p.report.spec_rollbacks)
-                .raw("front_hold_us", &hold)
-                .raw("front_wait_us", &wait)
                 .u64("tasks", p.report.tasks)
                 .u64("mem_accesses", p.report.mem_accesses)
                 .u64("makespan", p.report.makespan)
@@ -807,16 +732,8 @@ impl SweepResult {
         if let Some(ingest) = &self.ingest {
             obj = obj.raw("ingest", &ingest.json());
         }
-        obj = obj
-            .u64("pool_threads", self.pool_threads as u64)
-            .u64("point_threads", self.point_threads as u64);
-        if let Some(front) = self.front_shards {
-            obj = obj.u64("front_shards", front as u64);
-        }
-        if let Some(spec) = self.speculate {
-            obj = obj.u64("speculate", spec as u64);
-        }
-        obj.u64("wall_ms", self.wall.as_millis() as u64)
+        obj.u64("pool_threads", self.pool_threads as u64)
+            .u64("wall_ms", self.wall.as_millis() as u64)
             .u64("total_tasks", tasks)
             .u64("total_mem_accesses", accesses)
             .f64("tasks_per_sec", {

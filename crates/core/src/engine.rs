@@ -143,20 +143,6 @@ impl Engine {
         }
     }
 
-    /// The task a dequeue at `now` would pop from this engine without going
-    /// to the global worklist: the local-queue front, or the first in-flight
-    /// refill task that has already arrived (`admit_incoming(now)` would
-    /// move it to the local front). `None` when only a blocking refill could
-    /// produce a task — the speculative front declines those, which is
-    /// always safe (under-speculation only reduces coverage).
-    pub fn peek_next(&self, now: Cycle) -> Option<Task> {
-        self.local.front().copied().or_else(|| {
-            self.incoming
-                .front()
-                .and_then(|&(at, t)| (at <= now).then_some(t))
-        })
-    }
-
     /// Pops the next local task (FIFO within the local queue, paper §5.2).
     pub fn local_pop(&mut self) -> Option<Task> {
         let t = self.local.pop_front();

@@ -12,13 +12,14 @@
 //! load buffer (32 entries) holding in-flight fills, and the credit pool
 //! throttling total outstanding prefetched lines (§5.3.1).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use minnow_graph::{AddressMap, Csr};
 use minnow_runtime::{PrefetchKind, Task};
 use minnow_sim::config::EngineParams;
 use minnow_sim::cycles::Cycle;
-use minnow_sim::hierarchy::{MemoryHierarchy, PrefetchIssue};
+use minnow_sim::hierarchy::MemoryHierarchy;
 
 use crate::credits::CreditPool;
 
@@ -105,23 +106,6 @@ pub struct PrefetchStats {
 /// completed tasks are dropped long before this matters).
 const MAX_BACKLOG_LINES: usize = 8192;
 
-/// One load-buffer entry: a fill whose completion time is known, or one
-/// whose shared leg is still in flight on the weave. A pending entry's
-/// completion is `completes_base + beyond(seq)`; `lower_bound` is a sound
-/// minimum, so entries are only resolved (forcing a weave round trip) when
-/// the pipeline's clock actually reaches them.
-#[derive(Debug, Clone, Copy)]
-enum InflightFill {
-    /// Fill completes at this cycle.
-    Done(Cycle),
-    /// Fill awaiting its weave reply.
-    Pending {
-        seq: u64,
-        completes_base: Cycle,
-        lower_bound: Cycle,
-    },
-}
-
 /// The engine back-end prefetch issue model.
 #[derive(Debug)]
 pub struct PrefetchPipeline {
@@ -136,11 +120,8 @@ pub struct PrefetchPipeline {
     next_program: u64,
     /// Tasks the worker has started (pops observed).
     pops: u64,
-    /// In-flight fills (bounded by the load buffer). Unordered: retirement
-    /// removes every entry at or before the issue clock, and the earliest
-    /// entry is searched for only when the buffer is actually full — both
-    /// observationally identical to the min-heap this used to be.
-    inflight: Vec<InflightFill>,
+    /// Completion times of in-flight fills (bounded by the load buffer).
+    inflight: BinaryHeap<Reverse<Cycle>>,
     load_buffer: usize,
     issue_interval: Cycle,
     issue_clock: Cycle,
@@ -156,7 +137,7 @@ impl PrefetchPipeline {
             pending: VecDeque::new(),
             next_program: 0,
             pops: 0,
-            inflight: Vec::new(),
+            inflight: BinaryHeap::new(),
             load_buffer: params.load_buffer,
             // Issue pipe: a couple of cycles per threadlet step plus the
             // CAM wakeup amortized over switches.
@@ -212,60 +193,6 @@ impl PrefetchPipeline {
         &self.stats
     }
 
-    /// Settles every pending fill whose lower bound the issue clock has
-    /// reached — only those could retire, so later ones stay deferred.
-    fn resolve_due(&mut self, mem: &mut MemoryHierarchy) {
-        for f in &mut self.inflight {
-            if let InflightFill::Pending {
-                seq,
-                completes_base,
-                lower_bound,
-            } = *f
-            {
-                if lower_bound <= self.issue_clock {
-                    let (beyond, _level) = mem.resolve_beyond(seq);
-                    *f = InflightFill::Done(completes_base + beyond);
-                }
-            }
-        }
-    }
-
-    /// Settles every pending fill (needed when the exact earliest
-    /// completion matters: the load buffer is full).
-    fn resolve_all(&mut self, mem: &mut MemoryHierarchy) {
-        for f in &mut self.inflight {
-            if let InflightFill::Pending {
-                seq,
-                completes_base,
-                ..
-            } = *f
-            {
-                let (beyond, _level) = mem.resolve_beyond(seq);
-                *f = InflightFill::Done(completes_base + beyond);
-            }
-        }
-    }
-
-    /// Completion cycle of an entry; caller guarantees it is resolved.
-    fn completion(f: &InflightFill) -> Cycle {
-        match f {
-            InflightFill::Done(c) => *c,
-            InflightFill::Pending { .. } => unreachable!("resolved before inspection"),
-        }
-    }
-
-    /// Removes the earliest-completing entry (all entries resolved).
-    fn remove_earliest(&mut self) {
-        let idx = self
-            .inflight
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, f)| Self::completion(f))
-            .map(|(i, _)| i)
-            .expect("load buffer non-empty when full");
-        self.inflight.swap_remove(idx);
-    }
-
     /// Advances the pipeline to time `now`: returns freed credits from the
     /// hierarchy, then issues as many pending lines as buffer, credits, and
     /// time allow.
@@ -278,26 +205,18 @@ impl PrefetchPipeline {
             if self.pending.is_empty() {
                 return;
             }
-            // Retire completed fills up to the current issue point. A
-            // pending fill can only retire once its lower bound is reached,
-            // so resolve_due leaves distant fills parked on the weave.
-            self.resolve_due(mem);
-            let clock = self.issue_clock;
-            self.inflight.retain(|f| match f {
-                InflightFill::Done(c) => *c > clock,
-                InflightFill::Pending { .. } => true,
-            });
+            // Retire completed fills up to the current issue point.
+            while let Some(&Reverse(c)) = self.inflight.peek() {
+                if c <= self.issue_clock {
+                    self.inflight.pop();
+                } else {
+                    break;
+                }
+            }
             let mut issue_at = self.issue_clock;
             if self.inflight.len() >= self.load_buffer {
-                // Must wait for a load-buffer slot: the exact earliest
-                // completion now matters, so settle everything.
-                self.resolve_all(mem);
-                let earliest = self
-                    .inflight
-                    .iter()
-                    .map(Self::completion)
-                    .min()
-                    .expect("non-empty");
+                // Must wait for a load-buffer slot.
+                let Reverse(earliest) = *self.inflight.peek().expect("non-empty");
                 issue_at = issue_at.max(earliest);
             }
             if issue_at > now {
@@ -308,46 +227,27 @@ impl PrefetchPipeline {
                 return; // paused until credits come back
             }
             let (_, addr) = self.pending.pop_front().expect("checked non-empty");
-            match mem.prefetch_fill_deferred(core, addr, issue_at) {
-                PrefetchIssue::Filled(res) => {
-                    mem.tracer().emit(|| {
-                        minnow_sim::trace::TraceEvent::complete(
-                            "wdp",
-                            "prefetch",
-                            core as u32,
-                            issue_at,
-                            res.latency,
-                        )
-                        .with_arg("addr", addr)
-                    });
-                    self.stats.issued += 1;
-                    if self.inflight.len() >= self.load_buffer {
-                        self.remove_earliest();
-                    }
-                    self.inflight.push(InflightFill::Done(issue_at + res.latency));
+            let res = mem.prefetch_fill(core, addr, issue_at);
+            if res.filled {
+                mem.tracer().emit(|| {
+                    minnow_sim::trace::TraceEvent::complete(
+                        "wdp",
+                        "prefetch",
+                        core as u32,
+                        issue_at,
+                        res.latency,
+                    )
+                    .with_arg("addr", addr)
+                });
+                self.stats.issued += 1;
+                if self.inflight.len() >= self.load_buffer {
+                    self.inflight.pop();
                 }
-                PrefetchIssue::Deferred {
-                    seq,
-                    base,
-                    min_beyond,
-                } => {
-                    // Traced points never run the weave, so the "wdp" trace
-                    // event needs no deferred counterpart.
-                    self.stats.issued += 1;
-                    if self.inflight.len() >= self.load_buffer {
-                        self.remove_earliest();
-                    }
-                    self.inflight.push(InflightFill::Pending {
-                        seq,
-                        completes_base: issue_at + base,
-                        lower_bound: issue_at + base + min_beyond,
-                    });
-                }
-                PrefetchIssue::Resident => {
-                    // Already resident: no line marked, credit goes back.
-                    self.credits.release(1);
-                    self.stats.already_resident += 1;
-                }
+                self.inflight.push(Reverse(issue_at + res.latency));
+            } else {
+                // Already resident: no line marked, credit goes back.
+                self.credits.release(1);
+                self.stats.already_resident += 1;
             }
             self.issue_clock = issue_at + self.issue_interval;
         }

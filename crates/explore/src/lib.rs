@@ -60,16 +60,15 @@ pub struct ExploreConfig {
     pub seed: u64,
     /// Sweep-pool worker threads (simulations in flight at once).
     pub pool_threads: usize,
-    /// Bound-weave threads per simulation point.
+    /// Accepted and ignored, like the three fields below: every point
+    /// simulates on one host thread. The field set is kept so callers
+    /// that build this struct literally keep compiling.
     pub point_threads: usize,
-    /// Skip the sharded weave's adaptive serial fallback (see
-    /// `minnow_bench::sweep::SweepConfig::pin_point_threads`).
+    /// Accepted and ignored (see [`ExploreConfig::point_threads`]).
     pub pin_point_threads: bool,
-    /// Explicit front-shard count within each point's `point_threads`
-    /// budget (see `minnow_bench::sweep::SweepConfig::front_shards`).
+    /// Accepted and ignored (see [`ExploreConfig::point_threads`]).
     pub front_shards: Option<usize>,
-    /// Speculative shard overlap toggle (see
-    /// `minnow_bench::sweep::SweepConfig::speculate`); outcome-neutral.
+    /// Accepted and ignored (see [`ExploreConfig::point_threads`]).
     pub speculate: Option<bool>,
     /// Budget of *fresh* simulations this invocation may run; `None`
     /// is unbounded. Cached journal hits are always free. The budget
@@ -119,10 +118,6 @@ pub enum ExploreOutcome {
 pub fn explore(cfg: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
     let mut local = LocalEvaluator {
         pool_threads: cfg.pool_threads.max(1),
-        point_threads: cfg.point_threads.max(1),
-        pin_point_threads: cfg.pin_point_threads,
-        front_shards: cfg.front_shards,
-        speculate: cfg.speculate,
         verbose: cfg.verbose,
         tag: "explore".into(),
     };

@@ -46,17 +46,6 @@ pub struct BspConfig {
     /// Structured event sink (disabled by default; the BSP engine owns
     /// its hierarchy, so the tracer is injected through the config).
     pub tracer: Tracer,
-    /// Host threads simulating this point; `>= 2` enables bound-weave mode
-    /// (see [`crate::sim_exec::ExecConfig::point_threads`]). Supersteps are
-    /// the BSP engine's natural epochs: the weave is drained at every
-    /// barrier. Outcomes are byte-identical either way.
-    pub point_threads: usize,
-    /// Flow-control cap on weave-inflight fetches (outcome-neutral).
-    pub weave_inflight: usize,
-    /// Skip the adaptive serial fallback and always shard when
-    /// `point_threads >= 2` (see
-    /// [`crate::sim_exec::ExecConfig::pin_point_threads`]).
-    pub pin_point_threads: bool,
 }
 
 impl BspConfig {
@@ -70,9 +59,6 @@ impl BspConfig {
             superstep_limit: 200_000,
             serial_baseline: false,
             tracer: Tracer::disabled(),
-            point_threads: 1,
-            weave_inflight: crate::sim_exec::DEFAULT_WEAVE_INFLIGHT,
-            pin_point_threads: false,
         }
     }
 
@@ -100,24 +86,6 @@ pub fn run_bsp(op: &mut dyn Operator, cfg: &BspConfig) -> RunReport {
     assert!(cfg.threads >= 1, "need at least one thread");
     let mut mem = MemoryHierarchy::new(&cfg.sim);
     mem.set_tracer(cfg.tracer.clone());
-    // The BSP engine never front-shards (see `front_threads_used` below),
-    // so the whole `point_threads` budget goes to weave lanes: pin the
-    // front side of the split to 1 and take the lane count.
-    let lanes = crate::sim_exec::plan_point_split(
-        cfg.point_threads,
-        Some(1),
-        cfg.pin_point_threads,
-        op.graph().edges(),
-        1,
-    )
-    .lanes;
-    let mut weave = false;
-    if lanes > 0 {
-        // Bound-weave mode (refused under tracing — traced points stay on
-        // the serial oracle path). Supersteps are the epochs here: every
-        // barrier below drains the weave.
-        weave = mem.enable_weave(cfg.weave_inflight.max(1), lanes);
-    }
     let tracer = cfg.tracer.clone();
     let mut accounting = CycleAccounting::new(cfg.threads);
     let core_model = CoreModel::new(cfg.sim.ooo, cfg.core_mode, cfg.sim.branch_mispredict_rate);
@@ -148,16 +116,11 @@ pub fn run_bsp(op: &mut dyn Operator, cfg: &BspConfig) -> RunReport {
         prefetch_fills: 0,
         prefetch_used: 0,
         supersteps: 0,
-        point_threads_used: if weave { lanes + 1 } else { 1 },
-        // The BSP engine's charge order is round-robin within a
-        // superstep, not the canonical `(clock, core)` order, so it
-        // never front-shards: the full `point_threads` budget goes to
-        // weave lanes via the pinned-front point split above.
+        point_threads_used: 1,
         front_threads_used: 1,
-        lane_threads_used: if weave { lanes } else { 0 },
+        lane_threads_used: 0,
         spec_attempts: 0,
         spec_commits: 0,
-        spec_rollbacks: 0,
         front_hold_us: Vec::new(),
         front_wait_us: Vec::new(),
         accounting: CycleAccounting::new(0),
@@ -234,8 +197,6 @@ pub fn run_bsp(op: &mut dyn Operator, cfg: &BspConfig) -> RunReport {
                 }
             }
 
-            // Superstep barrier = weave epoch boundary.
-            mem.drain_weave();
             let busiest = clocks.iter().copied().max().unwrap_or(now);
             // Threads that finished their share early wait at the
             // barrier: superstep load imbalance is idle time.
@@ -268,7 +229,6 @@ fn finish(
     threads: usize,
     mut accounting: CycleAccounting,
 ) -> RunReport {
-    mem.finish_weave();
     accounting.close(report.makespan);
     report.breakdown = Breakdown {
         useful: accounting.bin_total(CycleBin::Useful),

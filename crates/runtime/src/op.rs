@@ -56,35 +56,6 @@ pub enum PrefetchKind {
     TriangleCounting,
 }
 
-/// One deferred functional update recorded during speculative execution.
-///
-/// Speculation runs [`Operator::execute_spec`] with `&self` — the operator
-/// may not mutate its own state until the task is validated against the
-/// serial dispatch order. Instead it journals each intended write here;
-/// [`Operator::apply_spec`] replays the journal on commit. Two shapes cover
-/// every workload in the suite: absolute assignments (depth/distance/label/
-/// rank words, encoded as raw `u64` bits) and commutative accumulations
-/// (triangle counts, conflict tallies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecWrite {
-    /// `state[slot][node] = bits` (floats travel as `to_bits()`).
-    Assign {
-        /// Operator-defined state array index (e.g. 0 = depth, 1 = rank).
-        slot: u8,
-        /// Node whose record is written.
-        node: NodeId,
-        /// New raw value.
-        bits: u64,
-    },
-    /// `state[slot] += amount` for per-run scalar accumulators.
-    Delta {
-        /// Operator-defined accumulator index.
-        slot: u8,
-        /// Amount to add.
-        amount: u64,
-    },
-}
-
 /// Per-task recording context handed to [`Operator::execute`].
 #[derive(Debug)]
 pub struct TaskCtx {
@@ -97,7 +68,6 @@ pub struct TaskCtx {
     stores: u64,
     secondary_loads: u64,
     pushes: Vec<Task>,
-    spec_log: Vec<SpecWrite>,
     /// Serial-baseline mode: atomics are recorded as plain stores (the
     /// paper's serial baseline "uses Galois but has atomics removed", §6.3.1).
     count_atomics_as_stores: bool,
@@ -116,7 +86,6 @@ impl TaskCtx {
             stores: 0,
             secondary_loads: 0,
             pushes: Vec::new(),
-            spec_log: Vec::new(),
             count_atomics_as_stores,
         }
     }
@@ -133,7 +102,6 @@ impl TaskCtx {
         self.stores = 0;
         self.secondary_loads = 0;
         self.pushes.clear();
-        self.spec_log.clear();
     }
 
     /// The address map in use.
@@ -263,52 +231,10 @@ impl TaskCtx {
     pub fn other_loads(&self) -> u64 {
         self.secondary_loads + self.instrs * STACK_LOADS_PER_INSTR_NUM / STACK_LOADS_PER_INSTR_DEN
     }
-
-    /// Journals a deferred absolute write `state[slot][node] = bits`.
-    #[inline]
-    pub fn spec_assign(&mut self, slot: u8, node: NodeId, bits: u64) {
-        self.spec_log.push(SpecWrite::Assign { slot, node, bits });
-    }
-
-    /// Journals a deferred accumulation `state[slot] += amount`.
-    #[inline]
-    pub fn spec_delta(&mut self, slot: u8, amount: u64) {
-        self.spec_log.push(SpecWrite::Delta { slot, amount });
-    }
-
-    /// Read-your-writes lookup over the journal: the most recent value
-    /// assigned to `state[slot][node]` within this task, if any. Operators
-    /// consult this before falling back to their committed state so that
-    /// duplicate edges and self-loops observe earlier journaled updates
-    /// exactly as the eager path would.
-    #[inline]
-    pub fn spec_get(&self, slot: u8, node: NodeId) -> Option<u64> {
-        self.spec_log.iter().rev().find_map(|w| match *w {
-            SpecWrite::Assign {
-                slot: s,
-                node: n,
-                bits,
-            } if s == slot && n == node => Some(bits),
-            _ => None,
-        })
-    }
-
-    /// The journaled deferred writes, in program order.
-    #[inline]
-    pub fn spec_log(&self) -> &[SpecWrite] {
-        &self.spec_log
-    }
 }
 
 /// A data-driven workload: per-task functional work plus trace recording.
-///
-/// `Send + Sync` are supertraits: the front-sharded executor relays the
-/// whole simulation spine — operator included — between front threads at
-/// core ownership boundaries, and under `--speculate` idle shards read the
-/// operator concurrently through a shared read lock while pre-executing
-/// task prefixes (see `minnow_runtime::front`). All operators are plain
-/// owned data over an `Arc<Csr>`, so this costs implementors nothing.
-pub trait Operator: Send + Sync {
+pub trait Operator {
     /// Workload name (e.g. `"SSSP"`).
     fn name(&self) -> &'static str;
 
@@ -325,22 +251,6 @@ pub trait Operator: Send + Sync {
 
     /// Executes one task: functional updates on `self`, trace into `ctx`.
     fn execute(&mut self, task: Task, ctx: &mut TaskCtx);
-
-    /// Speculative variant of [`Operator::execute`]: performs the same
-    /// trace recording but journals every functional update into
-    /// `ctx.spec_assign`/`ctx.spec_delta` instead of mutating `self`, so a
-    /// mispredicted task can be discarded without replay. Returns `true`
-    /// when the task was fully captured; the default declines speculation
-    /// entirely, which is always safe (the executor falls back to
-    /// [`Operator::execute`]).
-    fn execute_spec(&self, _task: Task, _ctx: &mut TaskCtx) -> bool {
-        false
-    }
-
-    /// Commits a journal produced by [`Operator::execute_spec`] into the
-    /// operator's state. Only called after the executor has validated the
-    /// speculation against the canonical serial dispatch order.
-    fn apply_spec(&mut self, _ctx: &TaskCtx) {}
 
     /// The scheduling policy the paper uses for this workload.
     fn default_policy(&self) -> PolicyKind;

@@ -59,11 +59,7 @@ impl SchedStats {
 }
 
 /// Where tasks come from and what each operation costs the worker.
-///
-/// `Send` is a supertrait so the front-sharded executor can relay the
-/// scheduler between front threads along with the rest of the simulation
-/// spine (see `minnow_runtime::front`).
-pub trait SchedulerModel: Send {
+pub trait SchedulerModel {
     /// Human-readable configuration label.
     fn label(&self) -> String;
 
@@ -84,15 +80,6 @@ pub trait SchedulerModel: Send {
     /// Attempts to dequeue for `thread` at `now`.
     fn dequeue(&mut self, thread: usize, now: Cycle, mem: &mut MemoryHierarchy)
         -> DequeueOutcome;
-
-    /// The exact task the next [`SchedulerModel::dequeue`] for `thread` at
-    /// `now` would return, without removing it, charging cycles, or touching
-    /// the hierarchy. The speculative front uses this to pre-execute a
-    /// shard's next task; `None` (the default) declines speculation, which
-    /// is always safe.
-    fn peek_dequeue(&self, _thread: usize, _now: Cycle) -> Option<Task> {
-        None
-    }
 
     /// Total tasks pending anywhere in the scheduler.
     fn pending(&self) -> usize;
@@ -249,12 +236,6 @@ impl SchedulerModel for SoftwareScheduler {
         }
         self.stats.op_cycles += cycles;
         DequeueOutcome { task, cost: cycles }
-    }
-
-    fn peek_dequeue(&self, _thread: usize, _now: Cycle) -> Option<Task> {
-        // `dequeue` pops the shared worklist regardless of the requesting
-        // thread or time, so the policy's own peek is exact.
-        self.worklist.peek()
     }
 
     fn pending(&self) -> usize {

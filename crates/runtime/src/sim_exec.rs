@@ -21,20 +21,15 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 
-use fxhash::FxMap64;
-use minnow_graph::Csr;
 use minnow_sim::config::SimConfig;
 use minnow_sim::core::{CoreMode, CoreModel};
 use minnow_sim::cycles::Cycle;
-use minnow_sim::hierarchy::{AccessKind, MemoryHierarchy};
+use minnow_sim::hierarchy::MemoryHierarchy;
 use minnow_sim::observer::{HwPrefetcher, MemoryImage};
 use minnow_sim::stats::{CycleAccounting, CycleBin};
-use minnow_sim::trace::{TraceEvent, Tracer};
+use minnow_sim::trace::TraceEvent;
 
-use crate::front::{self, FrontSpine, FrontStep, OpCell, RelayTelemetry, SchedCell, SpecBoard};
 use crate::op::Operator;
 use crate::sched::{SchedStats, SchedulerModel, SoftwareScheduler};
 use crate::scratch::{charge_task, ChargeCounters, TaskScratch};
@@ -59,162 +54,6 @@ pub struct ExecConfig {
     /// Serial-baseline mode: atomics are counted as plain stores
     /// (paper §6.3.1).
     pub serial_baseline: bool,
-    /// Host threads simulating this point. `1` (the default) is the serial
-    /// oracle path; `>= 2` enables bound-weave mode, which moves the shared
-    /// L3/NoC/DRAM fabric onto a dedicated weave thread and overlaps it with
-    /// core simulation. Simulated outcomes are byte-identical either way —
-    /// the determinism contract `tests/sweep_determinism.rs` enforces.
-    pub point_threads: usize,
-    /// Bound-weave epoch length in simulated cycles: the executor drains
-    /// the weave whenever the global clock crosses an epoch boundary,
-    /// bounding how far front and weave drift apart. Outcome-neutral
-    /// (`tests/props.rs` pins that); only host-side overlap changes.
-    pub weave_epoch: Cycle,
-    /// Flow-control cap on fetches in flight on the weave before the front
-    /// self-drains. Outcome-neutral, like `weave_epoch`.
-    pub weave_inflight: usize,
-    /// Pin the weave decision to `point_threads`: skip the adaptive serial
-    /// fallback (workload too small, host too narrow) and always shard when
-    /// `point_threads >= 2`. Simulated outcomes are identical either way;
-    /// determinism tests and CI set this so the sharded path actually runs
-    /// on small inputs and 1-core hosts.
-    pub pin_point_threads: bool,
-    /// Explicit front-shard count within the `point_threads` budget:
-    /// `Some(f)` pins `f` front threads (clamped to the budget and the
-    /// simulated core count), leaving `point_threads - f` weave lanes.
-    /// `None` (the default) lets [`plan_point_split`] divide the budget.
-    /// Outcome-neutral like every other host-threading knob.
-    pub front_shards: Option<usize>,
-    /// Speculative shard overlap (see [`crate::front`]): idle front shards
-    /// pre-execute the private prefix of their next canonical task while
-    /// another shard holds the spine. `Some(b)` pins the toggle; `None`
-    /// defers to `MINNOW_SPECULATE` ("1"/"true"/"on" or "0"/"false"/"off")
-    /// and then to the default, which is *on* whenever the point plan has
-    /// two or more front shards. Outcome-neutral like every other
-    /// host-threading knob: validated speculations commit byte-identical
-    /// state through the normal charging path, everything else rolls back
-    /// and replays.
-    pub speculate: Option<bool>,
-}
-
-/// Default bound-weave epoch length (simulated cycles). Long enough that
-/// epoch drains are rare next to task-end barriers, short enough to bound
-/// front/weave drift; the exact value never affects simulated outcomes.
-pub const DEFAULT_WEAVE_EPOCH: Cycle = 100_000;
-
-/// Default flow-control cap on weave-inflight fetches.
-pub const DEFAULT_WEAVE_INFLIGHT: usize = 4096;
-
-/// Smallest workload (in graph edges) worth sharding. Below this the
-/// per-fetch ticket/channel overhead outweighs the overlap on any host, so
-/// the adaptive fallback runs the point serially. Calibrated on the smoke
-/// sweep (scale 0.03, ~20k edges — falls back) vs the fig16 bench sweep
-/// (scale 0.1, ~200k+ edges — shards).
-pub const MIN_WEAVE_EDGES: usize = 50_000;
-
-/// How a point's `--point-threads` host budget is divided between front
-/// shards (which own core groups and relay the simulation spine, see
-/// [`crate::front`]) and weave lanes (which replay shared-fabric fetches
-/// under ticket scoreboards).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PointPlan {
-    /// Front threads; `1` means the caller drives the spine alone.
-    pub front: usize,
-    /// Weave lane threads; `0` means the shared fabric stays inline.
-    pub lanes: usize,
-}
-
-impl PointPlan {
-    /// The serial oracle: one front thread, inline fabric.
-    pub const SERIAL: PointPlan = PointPlan { front: 1, lanes: 0 };
-
-    /// Host threads this plan occupies.
-    #[must_use]
-    pub fn host_threads(&self) -> usize {
-        self.front + self.lanes
-    }
-
-    /// Whether the plan is the serial oracle path.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.front <= 1 && self.lanes == 0
-    }
-}
-
-/// Divides the `point_threads` budget into a [`PointPlan`].
-///
-/// The split: lanes and front shards each get half the budget by default
-/// (`front_override` pins the front side explicitly), with the front
-/// clamped to the simulated core count — a shard must own at least one
-/// core. The adaptive serial fallback declines to shard tiny workloads
-/// (< [`MIN_WEAVE_EDGES`]) or starved hosts, so `--point-threads` is never
-/// a wall-clock regression; `pinned` overrides it for determinism suites.
-/// Every plan is outcome-neutral — the choice moves host wall-clock only.
-pub fn plan_point_split(
-    point_threads: usize,
-    front_override: Option<usize>,
-    pinned: bool,
-    edges: usize,
-    sim_cores: usize,
-) -> PointPlan {
-    if point_threads <= 1 {
-        return PointPlan::SERIAL;
-    }
-    let total = if pinned {
-        point_threads
-    } else {
-        if edges < MIN_WEAVE_EDGES {
-            return PointPlan::SERIAL;
-        }
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if host < 2 {
-            return PointPlan::SERIAL;
-        }
-        point_threads.min(host)
-    };
-    if total <= 1 {
-        return PointPlan::SERIAL;
-    }
-    let front = front_override
-        .unwrap_or(total / 2)
-        .clamp(1, sim_cores.max(1))
-        .min(total);
-    PointPlan {
-        front,
-        lanes: total - front,
-    }
-}
-
-/// Resolves the speculation toggle: an explicit config pin wins, then
-/// `MINNOW_SPECULATE`, then the default (on). The result only matters when
-/// the point plan ends up with >= 2 front shards.
-fn resolve_speculate(pinned: Option<bool>) -> bool {
-    if let Some(b) = pinned {
-        return b;
-    }
-    match std::env::var("MINNOW_SPECULATE").ok().as_deref() {
-        Some("1") | Some("true") | Some("on") => true,
-        Some("0") | Some("false") | Some("off") => false,
-        _ => true,
-    }
-}
-
-/// `MINNOW_SPEC_FORCE_ROLLBACK=N`: test-only injector that discards every
-/// Nth consumed speculation record regardless of validity. `0` (default)
-/// disables injection. Outcome-neutral: the rollback path replays.
-fn spec_force_rollback() -> u64 {
-    std::env::var("MINNOW_SPEC_FORCE_ROLLBACK")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// `MINNOW_SPEC_CHECK=1`: per-commit differential oracle on the private
-/// cache spec journal (see [`SpecDrive::check`]).
-fn spec_check_enabled() -> bool {
-    std::env::var("MINNOW_SPEC_CHECK").ok().as_deref() == Some("1")
 }
 
 impl ExecConfig {
@@ -228,12 +67,6 @@ impl ExecConfig {
             task_limit: 3_000_000,
             poll_interval: 200,
             serial_baseline: false,
-            point_threads: 1,
-            weave_epoch: DEFAULT_WEAVE_EPOCH,
-            weave_inflight: DEFAULT_WEAVE_INFLIGHT,
-            pin_point_threads: false,
-            front_shards: None,
-            speculate: None,
         }
     }
 
@@ -306,41 +139,20 @@ pub struct RunReport {
     pub prefetch_used: u64,
     /// Bulk-synchronous supersteps (0 for asynchronous executors).
     pub supersteps: u64,
-    /// Host threads that actually simulated this point: `1` when the run
-    /// took the serial path (requested, adaptive fallback, tracer, or an
-    /// unsupported mesh), `front + lanes` when front shards and/or the
-    /// sharded weave ran. Affects wall clock only, never simulated
-    /// outcomes.
+    /// Host threads that simulated this point: always `1`, kept for
+    /// readers built against the earlier multi-thread report.
     pub point_threads_used: usize,
-    /// Front threads that drove the spine (the relay of
-    /// [`crate::front`]): `1` on the serial path, the planned shard count
-    /// otherwise. Reported as `pt_front_used` in bench documents.
+    /// Front threads that drove the point: always `1` (kept, as above).
     pub front_threads_used: usize,
-    /// Weave lane threads that replayed shared-fabric fetches: `0` when
-    /// the fabric stayed inline. Reported as `pt_lane_used` in bench
-    /// documents.
+    /// Shared-fabric helper threads: always `0` (kept, as above).
     pub lane_threads_used: usize,
-    /// Speculative prefixes armed by idle front shards. At least
-    /// `spec_commits + spec_rollbacks` — a record armed right as the run
-    /// drains is never consumed. Volatile host-side counter (depends on
-    /// host timing): reported only in the wall-clock bench document,
-    /// never in deterministic artifacts. `0` when speculation is off or
-    /// the run took the serial path.
+    /// Speculative task prefixes attempted: always `0` (kept, as above).
     pub spec_attempts: u64,
-    /// Armed speculations that validated against the committed step
-    /// sequence and were applied without re-execution. Volatile, like
-    /// [`RunReport::spec_attempts`].
+    /// Speculative task prefixes committed: always `0` (kept, as above).
     pub spec_commits: u64,
-    /// Armed speculations discarded and re-executed from scratch (stale
-    /// peek, canonical-order mismatch, a cross-shard write since the
-    /// snapshot, or `MINNOW_SPEC_FORCE_ROLLBACK` injection). Volatile.
-    pub spec_rollbacks: u64,
-    /// Host wall microseconds each front thread spent driving the spine
-    /// (relay mode) or speculating (speculation mode). One entry per front
-    /// thread; `[whole-drive wall]` on the serial path. Volatile.
+    /// Per-front-thread drive time in µs: always empty (kept, as above).
     pub front_hold_us: Vec<u64>,
-    /// Host wall microseconds each front thread spent parked waiting for
-    /// the baton (relay mode) or backing off (speculation mode). Volatile.
+    /// Per-front-thread wait time in µs: always empty (kept, as above).
     pub front_wait_us: Vec<u64>,
     /// Closed per-core cycle accounting: every cycle of every core up
     /// to the makespan lands in exactly one [`CycleBin`]. The
@@ -400,283 +212,13 @@ pub fn run(
     run_with_prefetcher(op, sched, mem, None, cfg)
 }
 
-/// The live simulation spine: every piece of state one canonical-order
-/// step touches, packaged as one movable value so the front relay
-/// ([`crate::front`]) can migrate it between front threads at core
-/// ownership boundaries. [`FrontSpine::step`] reproduces exactly one
-/// iteration of the classic executor loop — heap pop, epoch drain,
-/// scheduler tick, dequeue (or idle poll, or termination), operator
-/// execution, hierarchy charge, enqueues — so the step sequence, and with
-/// it every simulated outcome, is identical for any front-shard count.
-struct ExecSpine<'c, 'a> {
-    /// The operator behind the shared-read cell: speculating shards take
-    /// read locks to pre-execute prefixes, the spine holder takes the write
-    /// lock per real execution or journal commit. Uncontended on the
-    /// serial/relay paths. (`'c` is the local borrow of the cell — shorter
-    /// than the caller's `'a` borrows inside it, so the cells can be
-    /// consumed for their stats once the spine is done.)
-    op: &'c OpCell<'a>,
-    /// The scheduler behind its cell: peers briefly lock it to peek their
-    /// next dispatch, the holder locks it per spine operation.
-    sched: &'c SchedCell<'a>,
-    mem: &'c mut MemoryHierarchy,
-    hw_prefetcher: Option<(&'a mut dyn HwPrefetcher, &'a dyn MemoryImage)>,
-    core_model: CoreModel,
-    graph: Arc<Csr>,
-    split_threshold: Option<u32>,
-    tracer: Tracer,
-    poll_interval: Cycle,
-    task_limit: u64,
-    weave: bool,
-    epoch_len: Cycle,
-    next_epoch: Cycle,
-    accounting: CycleAccounting,
-    clock: Vec<Cycle>,
-    // Index min-heap over thread clocks, keyed `(clock, thread-id)`. The
-    // pop sequence is nondecreasing in that key — the dispatcher's
-    // canonical issue order; each thread is in the heap exactly once.
-    ready: BinaryHeap<Reverse<(Cycle, usize)>>,
-    scratch: TaskScratch,
-    counters: ChargeCounters,
-    report: RunReport,
-    /// Holder-side speculation state; `None` disables speculation (the
-    /// serial and relay paths).
-    spec: Option<SpecDrive<'c>>,
-}
-
-/// The spine holder's half of the speculation protocol: the coordination
-/// board shared with the speculating shards, plus the holder-local write
-/// stamps that validation runs against.
-struct SpecDrive<'a> {
-    board: &'a SpecBoard,
-    /// Front shards in the plan (for [`front::shard_of`]).
-    front: usize,
-    /// Last committed step's sequence number per *written* cache line
-    /// (`addr >> 6`). A speculation whose read-set contains a line stamped
-    /// after its snapshot is stale and must roll back. Holder-local — only
-    /// the monotonically published `step_seq` crosses threads.
-    stamps: FxMap64<u64>,
-    /// Committed step count, mirrored to the board after every step.
-    seq: u64,
-    /// `MINNOW_SPEC_FORCE_ROLLBACK=N`: discard every Nth consumed record
-    /// regardless of validity (test-only fault injection; outcome-neutral
-    /// because the rollback path replays from scratch).
-    force_rollback: u64,
-    /// Consumed (committed + rolled back) records, for the injector.
-    consumed: u64,
-    /// `MINNOW_SPEC_CHECK=1`: before committing, replay the record's
-    /// accesses through the private-cache spec journal and assert the
-    /// rollback restores state bit-for-bit (differential oracle).
-    check: bool,
-}
-
-impl ExecSpine<'_, '_> {
-    /// Peeks the heap top — the next canonical step's owning core.
-    fn peek(&self) -> FrontStep {
-        match self.ready.peek() {
-            Some(&Reverse((_, core))) => FrontStep::Yield { core },
-            None => FrontStep::Done,
-        }
-    }
-}
-
-impl FrontSpine for ExecSpine<'_, '_> {
-    fn cores(&self) -> usize {
-        self.clock.len()
-    }
-
-    fn step(&mut self) -> FrontStep {
-        // Advance the thread with the smallest `(clock, id)` key.
-        let Some(Reverse((now, idx))) = self.ready.pop() else {
-            return FrontStep::Done;
-        };
-        debug_assert_eq!(now, self.clock[idx]);
-        // Epoch boundary: the global clock (min over threads) crossed into
-        // a new epoch — barrier the weave so front and weave never drift
-        // more than one epoch apart. Whichever front shard holds the spine
-        // performs the drain; that is the relay's only global sync point.
-        if self.weave && now >= self.next_epoch {
-            self.mem.drain_weave();
-            self.next_epoch = (now / self.epoch_len + 1) * self.epoch_len;
-        }
-        self.sched.lock().unwrap().tick(now, self.mem);
-
-        let deq = self.sched.lock().unwrap().dequeue(idx, now, self.mem);
-        self.clock[idx] += deq.cost;
-        self.accounting.charge(idx, CycleBin::Worklist, deq.cost);
-
-        let Some(task) = deq.task else {
-            if self.sched.lock().unwrap().pending() == 0 {
-                // No pending tasks and no thread is mid-task (tasks commit
-                // atomically at dequeue time): global termination.
-                return FrontStep::Done;
-            }
-            self.accounting.charge(idx, CycleBin::Idle, self.poll_interval);
-            let (at, poll) = (self.clock[idx], self.poll_interval);
-            self.tracer
-                .emit(|| TraceEvent::complete("poll", "sched", idx as u32, at, poll));
-            self.clock[idx] += poll;
-            if let Some(spec) = self.spec.as_ref() {
-                spec.board.publish_clock(idx, self.clock[idx]);
-            }
-            self.ready.push(Reverse((self.clock[idx], idx)));
-            return self.peek();
-        };
-        self.tracer.emit(|| {
-            TraceEvent::complete("dequeue", "sched", idx as u32, now, deq.cost)
-                .with_arg("node", task.node as u64)
-        });
-
-        // ---- execute the task functionally, recording its trace ----
-        // With speculation on, a peer shard may have pre-executed exactly
-        // this dispatch. Validate its record against the canonical step and
-        // the committed write stamps; a valid record commits the
-        // pre-recorded trace (skipping re-execution), anything else is
-        // discarded and the task replays from scratch below. Both paths
-        // charge through the identical `charge_task` machinery, so the
-        // outcome is byte-identical either way.
-        let mut committed_spec = false;
-        if let Some(spec) = self.spec.as_mut() {
-            let shard = front::shard_of(idx, self.clock.len(), spec.front);
-            if shard > 0 {
-                if let Some(rec) = spec.board.take_armed(shard) {
-                    spec.consumed += 1;
-                    let forced =
-                        spec.force_rollback > 0 && spec.consumed % spec.force_rollback == 0;
-                    let valid = !forced
-                        && rec.core == idx
-                        && rec.clock == now
-                        && rec.task == task
-                        && rec.ctx.accesses().iter().all(|acc| {
-                            // The record's read-set is its first-touch
-                            // lines (every state read in the operators is
-                            // covered by a recorded access on its line).
-                            !acc.first_touch
-                                || spec
-                                    .stamps
-                                    .get(acc.addr >> 6)
-                                    .is_none_or(|&s| s <= rec.snapshot)
-                        });
-                    if valid {
-                        if spec.check {
-                            // Differential oracle: replay the record's
-                            // accesses through the private-cache spec
-                            // journal and prove the rollback is exact.
-                            let before = self.mem.spec_private_checksum(idx);
-                            self.mem.begin_spec_probe(idx);
-                            for acc in rec.ctx.accesses() {
-                                self.mem.spec_probe_private(idx, acc.addr, acc.kind);
-                            }
-                            self.mem.rollback_spec_probe(idx);
-                            assert_eq!(
-                                before,
-                                self.mem.spec_private_checksum(idx),
-                                "MINNOW_SPEC_CHECK: spec probe rollback left private caches dirty"
-                            );
-                        }
-                        self.report.spec_commits += 1;
-                        self.scratch.note_task_at(now, idx);
-                        self.scratch.ctx = rec.ctx;
-                        self.op.write().unwrap().apply_spec(&self.scratch.ctx);
-                        committed_spec = true;
-                    } else {
-                        self.report.spec_rollbacks += 1;
-                    }
-                }
-            }
-        }
-        if !committed_spec {
-            self.scratch.begin_task_at(now, idx);
-            self.op.write().unwrap().execute(task, &mut self.scratch.ctx);
-        }
-
-        // ---- charge recorded accesses against the hierarchy ----
-        let t0 = self.clock[idx];
-        let cycles = charge_task(
-            &mut self.scratch,
-            self.mem,
-            &self.core_model,
-            idx,
-            t0,
-            &mut self.hw_prefetcher,
-            &mut self.counters,
-        );
-        self.clock[idx] += cycles.total();
-        self.accounting.charge(idx, CycleBin::Useful, cycles.compute);
-        self.accounting.charge(idx, CycleBin::Memory, cycles.memory);
-        self.accounting.charge(idx, CycleBin::Fence, cycles.fence);
-        self.accounting.charge(idx, CycleBin::Branch, cycles.branch);
-        self.report.instructions += self.scratch.ctx.instrs();
-        self.tracer.emit(|| {
-            TraceEvent::complete("execute", "task", idx as u32, t0, cycles.total())
-                .with_arg("node", task.node as u64)
-                .with_arg("memory", cycles.memory)
-                .with_arg("fence", cycles.fence)
-                .with_arg("branch", cycles.branch)
-        });
-
-        // ---- enqueue follow-up tasks (with splitting) ----
-        for p in 0..self.scratch.ctx.pushes().len() {
-            let pushed = self.scratch.ctx.pushes()[p];
-            self.scratch.parts.clear();
-            match self.split_threshold {
-                Some(th) => {
-                    let degree = self.graph.out_degree(pushed.node);
-                    split_task_into(pushed, degree, th, &mut self.scratch.parts);
-                }
-                None => self.scratch.parts.push(pushed),
-            }
-            for i in 0..self.scratch.parts.len() {
-                let part = self.scratch.parts[i];
-                let at = self.clock[idx];
-                let cost = self.sched.lock().unwrap().enqueue(idx, part, at, self.mem);
-                self.clock[idx] += cost;
-                self.accounting.charge(idx, CycleBin::Worklist, cost);
-                self.tracer.emit(|| {
-                    TraceEvent::complete("enqueue", "sched", idx as u32, at, cost)
-                        .with_arg("node", part.node as u64)
-                });
-            }
-        }
-
-        self.report.tasks += 1;
-        let retired_at = self.clock[idx];
-        self.tracer.emit(|| {
-            TraceEvent::instant("retire", "task", idx as u32, retired_at)
-                .with_arg("node", task.node as u64)
-        });
-        if self.report.tasks >= self.task_limit {
-            self.report.timed_out = true;
-            return FrontStep::Done;
-        }
-        self.ready.push(Reverse((self.clock[idx], idx)));
-        if let Some(spec) = self.spec.as_mut() {
-            // Stamp this step's written lines and publish the committed
-            // step count. The sequence store happens after the operator
-            // write lock above was released, so a peer that Acquire-reads
-            // `seq` observes every functional write of tasks `<= seq` —
-            // stale (low) reads can only cause false rollbacks.
-            let seq = spec.seq + 1;
-            for acc in self.scratch.ctx.accesses() {
-                if acc.kind != AccessKind::Load {
-                    spec.stamps.insert(acc.addr >> 6, seq);
-                }
-            }
-            spec.seq = seq;
-            spec.board.publish_step_seq(seq);
-            spec.board.publish_clock(idx, self.clock[idx]);
-        }
-        self.peek()
-    }
-}
-
 /// Like [`run`], with an optional table-based hardware prefetcher snooping
 /// every demand load (the paper's Fig. 17 stride/IMP comparison).
 pub fn run_with_prefetcher(
     op: &mut dyn Operator,
     sched: &mut dyn SchedulerModel,
     mem: &mut MemoryHierarchy,
-    hw_prefetcher: Option<(&mut dyn HwPrefetcher, &dyn MemoryImage)>,
+    mut hw_prefetcher: Option<(&mut dyn HwPrefetcher, &dyn MemoryImage)>,
     cfg: &ExecConfig,
 ) -> RunReport {
     assert!(cfg.threads >= 1, "need at least one thread");
@@ -699,34 +241,22 @@ pub fn run_with_prefetcher(
 
     sched.seed(op.initial_tasks());
 
-    // Split the host budget into front shards + weave lanes. Traced points
-    // run fully serial (`enable_weave` refuses under tracing too, but the
-    // front must also decline so trace streams come from one path only).
-    let mut plan = plan_point_split(
-        cfg.point_threads,
-        cfg.front_shards,
-        cfg.pin_point_threads,
-        graph.edges(),
-        cfg.threads,
-    );
-    if mem.tracer().is_enabled() {
-        plan = PointPlan::SERIAL;
-    }
-    let weave = plan.lanes > 0 && mem.enable_weave(cfg.weave_inflight.max(1), plan.lanes);
-    if plan.lanes > 0 && !weave {
-        // The fabric declined (unsupported mesh): take the full serial
-        // oracle path, matching the pre-split executor's fallback.
-        plan = PointPlan::SERIAL;
-    }
-    let speculate = plan.front >= 2 && resolve_speculate(cfg.speculate);
-    let epoch_len = cfg.weave_epoch.max(1);
-
     let tracer = mem.tracer().clone();
+    let mut accounting = CycleAccounting::new(cfg.threads);
+    let mut clock = vec![0 as Cycle; cfg.threads];
+    // Index min-heap over thread clocks, keyed `(clock, thread-id)`. The
+    // previous linear scan chose the smallest clock with a strict `<`
+    // compare, i.e. the lowest thread id among tied minima — exactly the
+    // order a `(clock, tid)` min-heap pops, so the linearization (and every
+    // simulated cycle) is unchanged. Each thread is in the heap exactly
+    // once; the capacity never grows past `threads`.
     let mut ready: BinaryHeap<Reverse<(Cycle, usize)>> = BinaryHeap::with_capacity(cfg.threads);
     for t in 0..cfg.threads {
         ready.push(Reverse((0, t)));
     }
-    let report = RunReport {
+    let mut scratch = TaskScratch::new(map, cfg.serial_baseline);
+    let mut counters = ChargeCounters::default();
+    let mut report = RunReport {
         makespan: 0,
         tasks: 0,
         instructions: 0,
@@ -740,114 +270,110 @@ pub fn run_with_prefetcher(
         prefetch_fills: 0,
         prefetch_used: 0,
         supersteps: 0,
-        point_threads_used: plan.host_threads(),
-        front_threads_used: plan.front,
-        lane_threads_used: if weave { plan.lanes } else { 0 },
+        point_threads_used: 1,
+        front_threads_used: 1,
+        lane_threads_used: 0,
         spec_attempts: 0,
         spec_commits: 0,
-        spec_rollbacks: 0,
         front_hold_us: Vec::new(),
         front_wait_us: Vec::new(),
         accounting: CycleAccounting::new(0),
     };
 
-    let threads = cfg.threads;
-    let serial_baseline = cfg.serial_baseline;
-    let op_cell: OpCell = RwLock::new(op);
-    let sched_cell: SchedCell = Mutex::new(sched);
-    let board = SpecBoard::new(threads, plan.front.max(1));
+    'outer: loop {
+        // Advance the thread with the smallest clock.
+        let Reverse((now, idx)) = ready.pop().expect("one entry per thread");
+        debug_assert_eq!(now, clock[idx]);
+        sched.tick(now, mem);
 
-    let mut spine = ExecSpine {
-        op: &op_cell,
-        sched: &sched_cell,
-        mem,
-        // Rebuild the tuple so each reference sits at a coercion site:
-        // the caller's trait-object lifetimes shrink to the spine's.
-        hw_prefetcher: hw_prefetcher
-            .map(|(hw, image)| (hw as &mut dyn HwPrefetcher, image as &dyn MemoryImage)),
-        core_model,
-        graph,
-        split_threshold,
-        tracer,
-        poll_interval: cfg.poll_interval,
-        task_limit: cfg.task_limit.max(1),
-        weave,
-        epoch_len,
-        next_epoch: epoch_len,
-        accounting: CycleAccounting::new(cfg.threads),
-        clock: vec![0 as Cycle; cfg.threads],
-        ready,
-        scratch: TaskScratch::new(map, cfg.serial_baseline),
-        counters: ChargeCounters::default(),
-        report,
-        spec: None,
-    };
+        let deq = sched.dequeue(idx, now, mem);
+        clock[idx] += deq.cost;
+        accounting.charge(idx, CycleBin::Worklist, deq.cost);
 
-    // Drive the spine to completion. Three mutually exclusive modes, all
-    // producing byte-identical simulated outcomes: serial (`front <= 1`),
-    // the baton relay (`front >= 2`, speculation off), or speculative
-    // overlap (`front >= 2`, speculation on) in which shard 0 — this
-    // thread — drives the whole spine with no hand-offs while the peer
-    // shards pre-execute private prefixes of their own upcoming tasks.
-    let (spine, telemetry) = if speculate {
-        spine.spec = Some(SpecDrive {
-            board: &board,
-            front: plan.front,
-            stamps: FxMap64::new(),
-            seq: 0,
-            force_rollback: spec_force_rollback(),
-            consumed: 0,
-            check: spec_check_enabled(),
+        let Some(task) = deq.task else {
+            if sched.pending() == 0 {
+                // No pending tasks and no thread is mid-task (tasks commit
+                // atomically at dequeue time): global termination.
+                break 'outer;
+            }
+            accounting.charge(idx, CycleBin::Idle, cfg.poll_interval);
+            tracer.emit(|| {
+                TraceEvent::complete("poll", "sched", idx as u32, clock[idx], cfg.poll_interval)
+            });
+            clock[idx] += cfg.poll_interval;
+            ready.push(Reverse((clock[idx], idx)));
+            continue;
+        };
+        tracer.emit(|| {
+            TraceEvent::complete("dequeue", "sched", idx as u32, now, deq.cost)
+                .with_arg("node", task.node as u64)
         });
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            for peer in 1..plan.front {
-                let (board, op, sched) = (&board, &op_cell, &sched_cell);
-                scope.spawn(move || {
-                    front::spec_server(
-                        peer,
-                        threads,
-                        plan.front,
-                        op,
-                        sched,
-                        board,
-                        map,
-                        serial_baseline,
-                    );
+
+        // ---- execute the task functionally, recording its trace ----
+        scratch.begin_task();
+        op.execute(task, &mut scratch.ctx);
+
+        // ---- charge recorded accesses against the hierarchy ----
+        let t0 = clock[idx];
+        let cycles = charge_task(
+            &mut scratch,
+            mem,
+            &core_model,
+            idx,
+            t0,
+            &mut hw_prefetcher,
+            &mut counters,
+        );
+        clock[idx] += cycles.total();
+        accounting.charge(idx, CycleBin::Useful, cycles.compute);
+        accounting.charge(idx, CycleBin::Memory, cycles.memory);
+        accounting.charge(idx, CycleBin::Fence, cycles.fence);
+        accounting.charge(idx, CycleBin::Branch, cycles.branch);
+        report.instructions += scratch.ctx.instrs();
+        tracer.emit(|| {
+            TraceEvent::complete("execute", "task", idx as u32, t0, cycles.total())
+                .with_arg("node", task.node as u64)
+                .with_arg("memory", cycles.memory)
+                .with_arg("fence", cycles.fence)
+                .with_arg("branch", cycles.branch)
+        });
+
+        // ---- enqueue follow-up tasks (with splitting) ----
+        for p in 0..scratch.ctx.pushes().len() {
+            let pushed = scratch.ctx.pushes()[p];
+            scratch.parts.clear();
+            match split_threshold {
+                Some(th) => {
+                    let degree = graph.out_degree(pushed.node);
+                    split_task_into(pushed, degree, th, &mut scratch.parts);
+                }
+                None => scratch.parts.push(pushed),
+            }
+            for i in 0..scratch.parts.len() {
+                let part = scratch.parts[i];
+                let at = clock[idx];
+                let cost = sched.enqueue(idx, part, at, mem);
+                clock[idx] += cost;
+                accounting.charge(idx, CycleBin::Worklist, cost);
+                tracer.emit(|| {
+                    TraceEvent::complete("enqueue", "sched", idx as u32, at, cost)
+                        .with_arg("node", part.node as u64)
                 });
             }
-            while spine.step() != FrontStep::Done {}
-            board.stop();
-        });
-        let mut telemetry = RelayTelemetry {
-            hold_us: vec![t0.elapsed().as_micros() as u64],
-            wait_us: vec![0],
-        };
-        for (h, w) in board.peer_times().into_iter().skip(1) {
-            telemetry.hold_us.push(h);
-            telemetry.wait_us.push(w);
         }
-        spine.report.spec_attempts = board.attempts();
-        spine.spec = None;
-        (spine, telemetry)
-    } else {
-        front::relay_run(spine, plan.front)
-    };
-    let ExecSpine {
-        mem,
-        mut accounting,
-        clock,
-        counters,
-        mut report,
-        ..
-    } = spine;
 
-    // End of simulation: settle every outstanding fetch and bring the
-    // fabric home before any stats are read.
-    mem.finish_weave();
+        report.tasks += 1;
+        tracer.emit(|| {
+            TraceEvent::instant("retire", "task", idx as u32, clock[idx])
+                .with_arg("node", task.node as u64)
+        });
+        if report.tasks >= cfg.task_limit {
+            report.timed_out = true;
+            break 'outer;
+        }
+        ready.push(Reverse((clock[idx], idx)));
+    }
 
-    report.front_hold_us = telemetry.hold_us;
-    report.front_wait_us = telemetry.wait_us;
     report.delinquent_loads = counters.delinquent_loads;
     report.total_loads = counters.total_loads;
     report.makespan = clock.iter().copied().max().unwrap_or(0);
@@ -860,6 +386,8 @@ pub fn run_with_prefetcher(
         branch: accounting.bin_total(CycleBin::Branch),
     };
     report.accounting = accounting;
+    report.sched = sched.stats();
+    report.instructions += report.sched.instrs;
     let total = mem.total_stats();
     report.l2_misses = total.l2_misses;
     report.mem_accesses = total.accesses;
@@ -868,10 +396,6 @@ pub fn run_with_prefetcher(
         report.prefetch_fills += s.prefetch_fills.get();
         report.prefetch_used += s.prefetch_used.get();
     }
-    // Last: reclaiming the scheduler consumes its cell, so every borrow of
-    // the spine's lifetime (including `mem` above) must be done first.
-    report.sched = sched_cell.into_inner().unwrap().stats();
-    report.instructions += report.sched.instrs;
     report
 }
 

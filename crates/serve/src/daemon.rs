@@ -60,8 +60,6 @@ pub struct ServeConfig {
     /// Local simulation threads. Zero is legal: the daemon then serves
     /// only from the store and remote workers.
     pub local_executors: usize,
-    /// Bound-weave threads per simulation point (outcome-neutral).
-    pub point_threads: usize,
     /// Artifact and journal directory for sweep/explore ops.
     pub out_dir: PathBuf,
     /// Narrate requests and per-point results to stderr.
@@ -81,7 +79,6 @@ impl ServeConfig {
             local_executors: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            point_threads: 1,
             out_dir: PathBuf::from("target/minnow-serve"),
             verbose: false,
         }
@@ -376,7 +373,7 @@ impl Inner {
             strategy,
             seed,
             pool_threads: pool,
-            point_threads: self.cfg.point_threads,
+            point_threads: 1,
             pin_point_threads: false,
             front_shards: None,
             speculate: None,
@@ -530,7 +527,6 @@ fn executor_loop(inner: &Arc<Inner>) {
 fn run_local(inner: &Arc<Inner>, job: &QueueJob) -> EvalOutcome {
     let t0 = Instant::now();
     let mut local = LocalEvaluator {
-        point_threads: inner.cfg.point_threads.max(1),
         verbose: inner.cfg.verbose,
         tag: "serve".into(),
         ..LocalEvaluator::serial()

@@ -23,7 +23,9 @@
 //! The store is size-capped with LRU eviction and persists itself as
 //! an append-only JSONL file (`minnow-serve-store/v1`): one line per
 //! insert, replayed in order on open (later lines win), compacted when
-//! the file accumulates more dead lines than live entries. Eviction is
+//! the file accumulates more dead lines than live entries. A torn final
+//! line (the daemon killed mid-append) is truncated away on open, so the
+//! next insert starts a fresh line instead of fusing with the torn bytes. Eviction is
 //! memory-only — an evicted entry whose line still sits in the file is
 //! resurrected on the next open, which is harmless for a cache (the cap
 //! is re-applied in replay order).
@@ -175,7 +177,18 @@ impl Store {
         if let Some(p) = &path {
             match std::fs::read_to_string(p) {
                 Ok(text) => {
-                    for line in text.lines() {
+                    // Bytes after the last newline are a torn append:
+                    // drop them from the file before anything is
+                    // appended after them.
+                    let complete = text.rfind('\n').map_or(0, |i| i + 1);
+                    if complete < text.len() {
+                        if !text[complete..].trim().is_empty() {
+                            skipped += 1;
+                        }
+                        truncate(p, complete as u64)
+                            .map_err(|e| format!("store {}: {e}", p.display()))?;
+                    }
+                    for line in text[..complete].lines() {
                         if line.trim().is_empty() {
                             continue;
                         }
@@ -196,8 +209,7 @@ impl Store {
                                 }
                                 Err(_) => skipped += 1,
                             },
-                            // A torn final line (daemon killed mid-append)
-                            // or isolated corruption: skip, keep serving.
+                            // Isolated corruption: skip, keep serving.
                             Err(_) => skipped += 1,
                         }
                     }
@@ -358,6 +370,12 @@ fn insert_unlocked(
     }
 }
 
+fn truncate(path: &Path, len: u64) -> std::io::Result<()> {
+    let file = OpenOptions::new().write(true).open(path)?;
+    file.set_len(len)?;
+    file.sync_data()
+}
+
 fn compact(path: &Path, inner: &Inner) -> Result<(), String> {
     let mut doc = String::new();
     doc.push_str(&JsonObject::new().str("schema", STORE_SCHEMA).finish());
@@ -400,7 +418,7 @@ mod tests {
     fn keys_separate_namespaces_and_simulation_relevant_fields_only() {
         let mut a = BenchRun::minnow(WorkloadKind::Bfs, 2);
         let mut b = a.clone();
-        b.point_threads = 8; // host-threading knob: outcome-neutral
+        b.point_threads = 8; // accepted and ignored: outcome-neutral
         assert_eq!(
             store_key("adhoc", &a).unwrap(),
             store_key("adhoc", &b).unwrap()
@@ -472,6 +490,35 @@ mod tests {
         drop(f);
         let salvaged = Store::open(Some(p.clone()), u64::MAX, stats).unwrap();
         assert_eq!(salvaged.len(), 2);
+        let _ = std::fs::remove_file(&p);
+    }
+
+    #[test]
+    fn insert_after_a_torn_tail_survives_the_next_open() {
+        let p = tmp("torn-then-insert.jsonl");
+        let _ = std::fs::remove_file(&p);
+        let stats = Arc::new(ServeStats::new());
+        {
+            let store = Store::open(Some(p.clone()), u64::MAX, Arc::clone(&stats)).unwrap();
+            store.insert("a", &report(1));
+        }
+        use std::io::Write as _;
+        let mut f = OpenOptions::new().append(true).open(&p).unwrap();
+        f.write_all(b"{\"key\":\"torn").unwrap();
+        drop(f);
+        {
+            let store = Store::open(Some(p.clone()), u64::MAX, Arc::clone(&stats)).unwrap();
+            assert_eq!(store.len(), 1);
+            store.insert("b", &report(2));
+        }
+        let text = std::fs::read_to_string(&p).unwrap();
+        for line in text.lines() {
+            assert!(Json::parse(line).is_ok(), "unparsable store line: {line}");
+        }
+        let reopened = Store::open(Some(p.clone()), u64::MAX, stats).unwrap();
+        assert_eq!(reopened.len(), 2);
+        assert_eq!(reopened.get("a").unwrap().report.makespan, 1);
+        assert_eq!(reopened.get("b").unwrap().report.makespan, 2);
         let _ = std::fs::remove_file(&p);
     }
 

@@ -75,7 +75,7 @@ pub struct Lookup {
 }
 
 /// Aggregate cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     /// Demand lookups that hit.
     pub hits: Counter,
@@ -119,10 +119,6 @@ impl CacheStats {
 /// their data. Fills are explicit so that the surrounding
 /// [hierarchy](crate::hierarchy) can decide inclusion/exclusion policy and
 /// so prefetchers can insert marked lines.
-/// `PartialEq` compares full packed state (tags, recency clocks, bitsets,
-/// stats) — the sharded weave's oracle tests rely on it for bit-identity.
-/// The speculation journal is deliberately excluded: its generation stamps
-/// persist across windows and carry no simulated state.
 #[derive(Debug, Clone)]
 pub struct Cache {
     params: CacheParams,
@@ -147,41 +143,6 @@ pub struct Cache {
     /// marked, which is always the case in non-prefetching runs.
     marked: usize,
     stats: CacheStats,
-    /// Undo journal for speculative probes (see [`Cache::begin_spec`]).
-    spec: SpecJournal,
-}
-
-impl PartialEq for Cache {
-    fn eq(&self, other: &Self) -> bool {
-        self.params == other.params
-            && self.sets == other.sets
-            && self.line_shift == other.line_shift
-            && self.tags == other.tags
-            && self.last_use == other.last_use
-            && self.dirty == other.dirty
-            && self.prefetch == other.prefetch
-            && self.tick == other.tick
-            && self.marked == other.marked
-            && self.stats == other.stats
-    }
-}
-
-/// Generation-stamped undo log for a speculative probe window — *not* a
-/// copy of the cache. Each way slot's prior metadata is saved at most once
-/// per window (the per-slot generation stamp dedupes), so a window touching
-/// a handful of sets journals a handful of entries regardless of cache
-/// size; rollback restores the saved entries and scalar snapshot.
-#[derive(Debug, Clone, Default)]
-struct SpecJournal {
-    /// Current window generation; slots stamped with an older generation
-    /// have not been journaled this window.
-    generation: u64,
-    /// Per-way-slot generation stamps (lazily sized on first window).
-    touched: Vec<u64>,
-    /// Saved prior per-slot state: `(idx, tag, last_use, dirty, prefetch)`.
-    entries: Vec<(usize, u64, u64, bool, bool)>,
-    /// Scalar snapshot at window open: `(tick, marked, stats)`.
-    saved: Option<(u64, usize, CacheStats)>,
 }
 
 impl Cache {
@@ -209,7 +170,6 @@ impl Cache {
             tick: 0,
             marked: 0,
             stats: CacheStats::default(),
-            spec: SpecJournal::default(),
         }
     }
 
@@ -448,118 +408,6 @@ impl Cache {
         Some(out)
     }
 
-    /// Opens a speculative probe window: subsequent
-    /// [`Cache::spec_access_line`] / [`Cache::spec_fill_line`] calls mutate
-    /// the cache exactly like their non-spec counterparts but journal prior
-    /// state so [`Cache::rollback_spec`] can restore it bit-for-bit.
-    pub fn begin_spec(&mut self) {
-        debug_assert!(self.spec.saved.is_none(), "nested spec window");
-        self.spec.generation += 1;
-        self.spec.touched.resize(self.tags.len(), 0);
-        self.spec.entries.clear();
-        self.spec.saved = Some((self.tick, self.marked, self.stats));
-    }
-
-    /// Journals the prior state of every way slot in `line_addr`'s set
-    /// (once per window). Accesses and fills only ever mutate slots within
-    /// the addressed set, so this bounds the undo exactly.
-    fn spec_note_set(&mut self, line_addr: u64) {
-        debug_assert!(self.spec.saved.is_some(), "spec op outside a window");
-        let base = self.set_base(line_addr);
-        for idx in base..base + self.params.ways {
-            if self.spec.touched[idx] != self.spec.generation {
-                self.spec.touched[idx] = self.spec.generation;
-                self.spec.entries.push((
-                    idx,
-                    self.tags[idx],
-                    self.last_use[idx],
-                    self.dirty.get(idx),
-                    self.prefetch.get(idx),
-                ));
-            }
-        }
-    }
-
-    /// [`Cache::access_line`] inside a speculative window: identical
-    /// behavior (it delegates), with the touched set journaled first.
-    pub fn spec_access_line(&mut self, line_addr: u64, write: bool) -> Lookup {
-        self.spec_note_set(line_addr);
-        self.access_line(line_addr, write)
-    }
-
-    /// [`Cache::fill_line`] inside a speculative window: identical behavior
-    /// (it delegates), with the touched set journaled first.
-    pub fn spec_fill_line(&mut self, line_addr: u64, write: bool, prefetch: bool) -> Option<Eviction> {
-        self.spec_note_set(line_addr);
-        self.fill_line(line_addr, write, prefetch)
-    }
-
-    /// [`Cache::consume_mark_line`] inside a speculative window: identical
-    /// behavior (it delegates), with the touched set journaled first.
-    pub fn spec_consume_mark_line(&mut self, line_addr: u64) -> bool {
-        self.spec_note_set(line_addr);
-        self.consume_mark_line(line_addr)
-    }
-
-    /// Closes the window and restores every journaled slot plus the scalar
-    /// snapshot, leaving the cache bit-identical to its state at
-    /// [`Cache::begin_spec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no window is open.
-    pub fn rollback_spec(&mut self) {
-        let (tick, marked, stats) = self.spec.saved.take().expect("rollback without begin_spec");
-        for i in (0..self.spec.entries.len()).rev() {
-            let (idx, tag, last_use, dirty, prefetch) = self.spec.entries[i];
-            self.tags[idx] = tag;
-            self.last_use[idx] = last_use;
-            self.dirty.assign(idx, dirty);
-            self.prefetch.assign(idx, prefetch);
-        }
-        self.spec.entries.clear();
-        self.tick = tick;
-        self.marked = marked;
-        self.stats = stats;
-    }
-
-    /// FNV-style digest of the complete simulated state (tags, recency,
-    /// bitsets, scalars, stats) — the differential oracle asserts this is
-    /// unchanged across a `begin_spec`/probe/`rollback_spec` cycle.
-    pub fn spec_checksum(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mix = |h: &mut u64, v: u64| {
-            *h ^= v;
-            *h = h.wrapping_mul(PRIME);
-        };
-        for &t in &self.tags {
-            mix(&mut h, t);
-        }
-        for &u in &self.last_use {
-            mix(&mut h, u);
-        }
-        for &w in &self.dirty.words {
-            mix(&mut h, w);
-        }
-        for &w in &self.prefetch.words {
-            mix(&mut h, w);
-        }
-        mix(&mut h, self.tick);
-        mix(&mut h, self.marked as u64);
-        for c in [
-            self.stats.hits,
-            self.stats.misses,
-            self.stats.evictions,
-            self.stats.prefetch_fills,
-            self.stats.prefetch_used,
-            self.stats.prefetch_evicted_unused,
-        ] {
-            mix(&mut h, c.get());
-        }
-        h
-    }
-
     /// Number of currently resident lines (test/diagnostic helper).
     pub fn resident_lines(&self) -> usize {
         self.tags.iter().filter(|&&t| t != INVALID).count()
@@ -576,7 +424,7 @@ impl Cache {
 }
 
 /// A plain `u64`-word bitset sized at construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct Bitset {
     words: Vec<u64>,
 }
@@ -774,63 +622,6 @@ mod tests {
         assert_eq!(by_addr.resident_lines(), by_line.resident_lines());
         assert_eq!(by_addr.marked_lines(), by_line.marked_lines());
         assert_eq!(by_addr.stats().hits.get(), by_line.stats().hits.get());
-    }
-
-    #[test]
-    fn spec_rollback_restores_state_bit_for_bit() {
-        let mut c = tiny();
-        c.fill(0x0000, true, false);
-        c.fill(0x0100, false, true);
-        c.access(0x0000, false);
-        let before = c.clone();
-        let sum = c.spec_checksum();
-
-        c.begin_spec();
-        // Hit, prefetch consumption, miss, and an evicting fill — every
-        // mutation class the window can see.
-        assert!(c.spec_access_line(c.line_of(0x0100), false).prefetch_consumed);
-        assert!(!c.spec_access_line(c.line_of(0x0200), true).hit);
-        assert!(c.spec_fill_line(c.line_of(0x0200), true, false).is_some());
-        assert!(c.spec_fill_line(c.line_of(0x0040), false, true).is_none());
-        assert_ne!(c.spec_checksum(), sum, "window must be observable");
-        c.rollback_spec();
-
-        assert_eq!(c, before);
-        assert_eq!(c.spec_checksum(), sum);
-        assert_eq!(c.marked_lines(), 1);
-    }
-
-    #[test]
-    fn spec_window_matches_plain_ops_exactly() {
-        let mut plain = tiny();
-        let mut spec = tiny();
-        let lines = [0u64, 4, 8, 1, 4, 12, 0, 8];
-        spec.begin_spec();
-        for (i, &l) in lines.iter().enumerate() {
-            let w = i % 2 == 0;
-            assert_eq!(plain.access_line(l, w), spec.spec_access_line(l, w));
-            if !plain.probe_line(l) {
-                assert_eq!(
-                    plain.fill_line(l, w, i % 3 == 0),
-                    spec.spec_fill_line(l, w, i % 3 == 0)
-                );
-            }
-        }
-        assert_eq!(plain, spec, "spec ops must behave identically");
-    }
-
-    #[test]
-    fn repeated_spec_windows_reuse_stamps() {
-        let mut c = tiny();
-        c.fill(0x0000, false, false);
-        let before = c.clone();
-        for round in 0..3u64 {
-            c.begin_spec();
-            c.spec_access_line(round % 4, false);
-            c.spec_fill_line(16 + round, false, false);
-            c.rollback_spec();
-            assert_eq!(c, before, "round {round} leaked state");
-        }
     }
 
     /// Regression for the tick-advance fix: the internal clock must move

@@ -33,10 +33,7 @@ const MAX_INTERVALS: usize = 256;
 /// after `now`, gap-filling between existing reservations. Used by
 /// [`SharedResource`], NoC links, and DRAM channels — anywhere one physical
 /// resource serves requests arriving at non-monotonic virtual times.
-/// `PartialEq` compares the full booked timeline — the sharded weave's
-/// oracle tests assert lane-merged timelines equal the serial ones bit for
-/// bit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct GapTracker {
     busy: VecDeque<(Cycle, Cycle)>,
 }

@@ -12,36 +12,8 @@ use crate::contend::GapTracker;
 use crate::cycles::Cycle;
 use crate::stats::{Counter, Distribution, Histogram};
 
-/// The channel a line address interleaves onto, out of `channels` (hash
-/// to spread strides). Pure function: the sharded weave's dispatcher uses
-/// it to assign per-channel tickets before the access executes.
-pub(crate) fn channel_of(line_addr: u64, channels: usize) -> usize {
-    let h = line_addr.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (h % channels as u64) as usize
-}
-
-/// The order-dependent DRAM statistics, split out so the sharded weave can
-/// defer them to drain barriers and replay them in canonical fetch order
-/// (the queueing [`Distribution`]'s running `f64` sum makes record order
-/// part of the bit-identity contract).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct DramStats {
-    accesses: Counter,
-    queueing: Distribution,
-    queue_hist: Histogram,
-}
-
-impl DramStats {
-    /// Records one serviced access, exactly as [`Dram::access`] would have.
-    pub(crate) fn record_access(&mut self, queued: Cycle) {
-        self.accesses.inc();
-        self.queueing.record(queued as f64);
-        self.queue_hist.record(queued);
-    }
-}
-
 /// Multi-channel DRAM with per-channel queueing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Dram {
     base_latency: Cycle,
     service: Cycle,
@@ -84,41 +56,14 @@ impl Dram {
     /// returns the total latency including queueing.
     pub fn access(&mut self, line_addr: u64, now: Cycle) -> Cycle {
         self.accesses.inc();
-        let ch = channel_of(line_addr, self.channels.len());
+        // Channel interleave on line address bits (hash to spread strides).
+        let h = line_addr.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let ch = (h % self.channels.len() as u64) as usize;
         let start = self.channels[ch].reserve(now, self.service);
         let queued = start - now;
         self.queueing.record(queued as f64);
         self.queue_hist.record(queued);
         self.base_latency + queued
-    }
-
-    /// Splits the model into its timing parameters `(base_latency,
-    /// service)`, the per-channel timelines, and the deferred statistics,
-    /// for the sharded weave. [`Dram::join`] reassembles.
-    pub(crate) fn split(self) -> (Cycle, Cycle, Vec<GapTracker>, DramStats) {
-        let stats = DramStats {
-            accesses: self.accesses,
-            queueing: self.queueing,
-            queue_hist: self.queue_hist,
-        };
-        (self.base_latency, self.service, self.channels, stats)
-    }
-
-    /// Reassembles a model previously taken apart by [`Dram::split`].
-    pub(crate) fn join(
-        base_latency: Cycle,
-        service: Cycle,
-        channels: Vec<GapTracker>,
-        stats: DramStats,
-    ) -> Self {
-        Dram {
-            base_latency,
-            service,
-            channels,
-            accesses: stats.accesses,
-            queueing: stats.queueing,
-            queue_hist: stats.queue_hist,
-        }
     }
 
     /// Uncontended access latency in cycles.

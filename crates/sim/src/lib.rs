@@ -53,7 +53,6 @@ pub mod noc;
 pub mod observer;
 pub mod stats;
 pub mod trace;
-mod weave;
 
 pub use crate::config::SimConfig;
 pub use crate::cycles::Cycle;

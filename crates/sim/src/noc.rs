@@ -10,16 +10,6 @@ use crate::contend::GapTracker;
 use crate::cycles::Cycle;
 use crate::stats::{Counter, Distribution, Histogram};
 
-/// Uncontended X-Y latency between two flat tile ids on a `width`-wide
-/// row-major mesh. Pure function of the geometry: usable for coherence cost
-/// estimates while the stateful [`Noc`] lives on the weave thread.
-pub fn ideal_latency_between(width: usize, hop_cycles: Cycle, src: usize, dst: usize) -> Cycle {
-    let (ax, ay) = (src % width, (src / width) % width);
-    let (bx, by) = (dst % width, (dst / width) % width);
-    let hops = (ax.abs_diff(bx) + ay.abs_diff(by)).max(1) as Cycle;
-    hops * hop_cycles
-}
-
 /// A tile coordinate on the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tile {
@@ -30,7 +20,7 @@ pub struct Tile {
 }
 
 /// Mesh NoC with per-link queueing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Noc {
     width: usize,
     hop_cycles: Cycle,
@@ -51,98 +41,6 @@ enum Dir {
     West,
     North,
     South,
-}
-
-/// Longest X-Y path on the meshes the sharded weave supports (8x8, the
-/// paper's Table 3 geometry: at most `2 * (8 - 1)` directed links).
-/// `MemoryHierarchy::enable_weave` refuses wider meshes, keeping the
-/// fixed-size route plans in `crate::weave` sufficient.
-pub(crate) const MAX_PATH_LINKS: usize = 14;
-
-/// The stateless geometry of a mesh: everything needed to enumerate the
-/// links of an X-Y route without the stateful [`Noc`]. Both the serial
-/// [`Noc::route`] and the sharded weave's dispatcher/lanes plan through
-/// this one walker, so they can never disagree on a path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct NocGeom {
-    /// Mesh width (tiles per row).
-    pub width: usize,
-    /// Cycles per hop.
-    pub hop_cycles: Cycle,
-    /// Link width in bytes per cycle.
-    pub link_bytes: usize,
-}
-
-fn link_index(width: usize, tile: Tile, dir: Dir) -> usize {
-    let d = match dir {
-        Dir::East => 0,
-        Dir::West => 1,
-        Dir::North => 2,
-        Dir::South => 3,
-    };
-    (tile.y * width + tile.x) * 4 + d
-}
-
-impl NocGeom {
-    /// Calls `f` with each directed link index an X-Y route from `src` to
-    /// `dst` crosses, in traversal order (X legs first, then Y). A local
-    /// route (same tile) crosses no links.
-    pub(crate) fn for_each_link(&self, src: usize, dst: usize, mut f: impl FnMut(usize)) {
-        let w = self.width;
-        let mut cur = Tile {
-            x: src % w,
-            y: (src / w) % w,
-        };
-        let dest = Tile {
-            x: dst % w,
-            y: (dst / w) % w,
-        };
-        while cur != dest {
-            let dir = if cur.x < dest.x {
-                Dir::East
-            } else if cur.x > dest.x {
-                Dir::West
-            } else if cur.y < dest.y {
-                Dir::South
-            } else {
-                Dir::North
-            };
-            f(link_index(w, cur, dir));
-            cur = match dir {
-                Dir::East => Tile { x: cur.x + 1, ..cur },
-                Dir::West => Tile { x: cur.x - 1, ..cur },
-                Dir::South => Tile { y: cur.y + 1, ..cur },
-                Dir::North => Tile { y: cur.y - 1, ..cur },
-            };
-        }
-    }
-
-    /// Per-link serialization occupancy of a `bytes`-byte packet.
-    pub(crate) fn occupancy(&self, bytes: usize) -> Cycle {
-        (bytes.max(1)).div_ceil(self.link_bytes) as Cycle
-    }
-}
-
-/// The order-dependent NoC statistics, split out so the sharded weave can
-/// defer them to drain barriers and replay them in canonical fetch order
-/// (the queueing [`Distribution`] keeps a running `f64` sum, so record
-/// *order* matters for bit-identity).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct NocStats {
-    packets: Counter,
-    total_hops: Counter,
-    queueing: Distribution,
-    queue_hist: Histogram,
-}
-
-impl NocStats {
-    /// Records one routed packet, exactly as [`Noc::route`] would have.
-    pub(crate) fn record_route(&mut self, queued: Cycle, hops: u64) {
-        self.packets.inc();
-        self.total_hops.add(hops);
-        self.queueing.record(queued as f64);
-        self.queue_hist.record(queued);
-    }
 }
 
 impl Noc {
@@ -180,46 +78,14 @@ impl Noc {
         }
     }
 
-    /// The stateless geometry of this mesh.
-    pub(crate) fn geom(&self) -> NocGeom {
-        NocGeom {
-            width: self.width,
-            hop_cycles: self.hop_cycles,
-            link_bytes: self.link_bytes,
-        }
-    }
-
-    /// Splits the mesh into its geometry, the per-link timelines, and the
-    /// deferred statistics — the sharded weave wraps each link in its own
-    /// turn cell and replays stats at barriers. [`Noc::join`] reassembles.
-    pub(crate) fn split(self) -> (NocGeom, Vec<GapTracker>, NocStats) {
-        let geom = NocGeom {
-            width: self.width,
-            hop_cycles: self.hop_cycles,
-            link_bytes: self.link_bytes,
+    fn link_index(&self, tile: Tile, dir: Dir) -> usize {
+        let d = match dir {
+            Dir::East => 0,
+            Dir::West => 1,
+            Dir::North => 2,
+            Dir::South => 3,
         };
-        let stats = NocStats {
-            packets: self.packets,
-            total_hops: self.total_hops,
-            queueing: self.queueing,
-            queue_hist: self.queue_hist,
-        };
-        (geom, self.links, stats)
-    }
-
-    /// Reassembles a mesh previously taken apart by [`Noc::split`].
-    pub(crate) fn join(geom: NocGeom, links: Vec<GapTracker>, stats: NocStats) -> Self {
-        debug_assert_eq!(links.len(), geom.width * geom.width * 4);
-        Noc {
-            width: geom.width,
-            hop_cycles: geom.hop_cycles,
-            link_bytes: geom.link_bytes,
-            links,
-            packets: stats.packets,
-            total_hops: stats.total_hops,
-            queueing: stats.queueing,
-            queue_hist: stats.queue_hist,
-        }
+        (tile.y * self.width + tile.x) * 4 + d
     }
 
     /// Routes a `bytes`-byte packet from tile `src` to tile `dst` starting at
@@ -228,25 +94,41 @@ impl Noc {
     /// A zero-hop route (src == dst) costs one hop of latency (local ring
     /// stop), matching ZSim-style models.
     pub fn route(&mut self, src: usize, dst: usize, bytes: usize, now: Cycle) -> Cycle {
-        let geom = self.geom();
+        self.packets.inc();
         let mut at = now;
+        let mut cur = self.tile_of(src);
+        let dest = self.tile_of(dst);
         // Serialization: a packet occupies each link for ceil(bytes/link_bytes).
-        let occupancy = geom.occupancy(bytes);
+        let occupancy = (bytes.max(1)).div_ceil(self.link_bytes) as Cycle;
         let mut hops: u64 = 0;
         let mut queued: Cycle = 0;
 
-        let links = &mut self.links;
-        geom.for_each_link(src, dst, |idx| {
-            let start = links[idx].reserve(at, occupancy);
+        while cur != dest {
+            let dir = if cur.x < dest.x {
+                Dir::East
+            } else if cur.x > dest.x {
+                Dir::West
+            } else if cur.y < dest.y {
+                Dir::South
+            } else {
+                Dir::North
+            };
+            let idx = self.link_index(cur, dir);
+            let start = self.links[idx].reserve(at, occupancy);
             queued += start - at;
-            at = start + geom.hop_cycles;
+            at = start + self.hop_cycles;
             hops += 1;
-        });
+            cur = match dir {
+                Dir::East => Tile { x: cur.x + 1, ..cur },
+                Dir::West => Tile { x: cur.x - 1, ..cur },
+                Dir::South => Tile { y: cur.y + 1, ..cur },
+                Dir::North => Tile { y: cur.y - 1, ..cur },
+            };
+        }
         if hops == 0 {
             at += self.hop_cycles;
             hops = 1;
         }
-        self.packets.inc();
         self.total_hops.add(hops);
         self.queueing.record(queued as f64);
         self.queue_hist.record(queued);
@@ -255,7 +137,10 @@ impl Noc {
 
     /// Uncontended latency between two tiles (diagnostic; no state change).
     pub fn ideal_latency(&self, src: usize, dst: usize) -> Cycle {
-        ideal_latency_between(self.width, self.hop_cycles, src, dst)
+        let a = self.tile_of(src);
+        let b = self.tile_of(dst);
+        let hops = (a.x.abs_diff(b.x) + a.y.abs_diff(b.y)).max(1) as Cycle;
+        hops * self.hop_cycles
     }
 
     /// Total packets routed.

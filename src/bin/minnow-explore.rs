@@ -19,7 +19,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use minnow::bench::cli::{validate_point_budget, ArgStream};
+use minnow::bench::cli::ArgStream;
 use minnow::explore::{
     explore, write_frontier_artifacts, ExploreConfig, ExploreOutcome, Space, Strategy,
 };
@@ -41,10 +41,6 @@ struct Args {
     eta: usize,
     seed: u64,
     threads: Option<usize>,
-    point_threads: usize,
-    pin_point_threads: bool,
-    front_shards: Option<usize>,
-    speculate: Option<bool>,
     out: String,
     max_evals: Option<usize>,
 }
@@ -64,19 +60,6 @@ options:
   --seed N         search seed: graphs and random sampling (default 42)
   --threads N      sweep-pool worker threads (default:
                    MINNOW_SWEEP_THREADS or available parallelism)
-  --point-threads N
-                   bound-weave threads per simulation point (default 1;
-                   an adaptive fallback runs tiny points serially)
-  --pin-point-threads
-                   disable the adaptive fallback: always shard when
-                   --point-threads >= 2 (outcomes identical either way)
-  --front-shards N split each point's --point-threads budget: N front
-                   threads over the simulated cores, the rest as weave
-                   lanes (requires --point-threads >= 2; outcomes are
-                   identical for every split)
-  --speculate on|off
-                   speculative shard overlap between front shards
-                   (default on with >= 2 fronts; outcome-neutral)
   --out DIR        artifact + journal directory
                    (default target/minnow-explore)
   --max-evals N    run at most N fresh simulations, then checkpoint and
@@ -103,10 +86,6 @@ fn parse_args() -> Result<Args, String> {
         eta: 2,
         seed: 42,
         threads: None,
-        point_threads: 1,
-        pin_point_threads: false,
-        front_shards: None,
-        speculate: None,
         out: "target/minnow-explore".into(),
         max_evals: None,
     };
@@ -123,22 +102,6 @@ fn parse_args() -> Result<Args, String> {
             "--eta" => args.eta = argv.parse_at_least("--eta", 2)? as usize,
             "--seed" => args.seed = argv.parse("--seed")?,
             "--threads" => args.threads = Some(argv.parse_at_least("--threads", 1)? as usize),
-            "--point-threads" => {
-                args.point_threads = argv.parse_at_least("--point-threads", 1)? as usize
-            }
-            "--pin-point-threads" => args.pin_point_threads = true,
-            "--front-shards" => {
-                args.front_shards = Some(argv.parse_at_least("--front-shards", 1)? as usize)
-            }
-            "--speculate" => {
-                args.speculate = Some(match argv.value("--speculate")?.as_str() {
-                    "on" | "1" | "true" => true,
-                    "off" | "0" | "false" => false,
-                    other => {
-                        return Err(format!("--speculate expects on|off, got `{other}`"))
-                    }
-                })
-            }
             "--out" => args.out = argv.value("--out")?,
             "--max-evals" => args.max_evals = Some(argv.parse::<u64>("--max-evals")? as usize),
             other if !other.starts_with('-') && args.space.is_none() => {
@@ -152,11 +115,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.space.is_some() && args.space_file.is_some() {
         return Err("give either a space name or --space-file, not both".into());
-    }
-    if let Some(warning) =
-        validate_point_budget(Some(args.point_threads), args.front_shards, args.pin_point_threads)?
-    {
-        eprintln!("{warning}");
     }
     Ok(args)
 }
@@ -251,10 +209,10 @@ fn main() -> ExitCode {
         strategy,
         seed: args.seed,
         pool_threads: args.threads.unwrap_or_else(minnow::bench::sweep_threads),
-        point_threads: args.point_threads,
-        pin_point_threads: args.pin_point_threads,
-        front_shards: args.front_shards,
-        speculate: args.speculate,
+        point_threads: 1,
+        pin_point_threads: false,
+        front_shards: None,
+        speculate: None,
         max_fresh_evals: args.max_evals,
         journal_path,
         verbose: args.verbose,

@@ -15,12 +15,11 @@
 //!
 //! Output is deterministic: for a fixed sweep, filter, scale, and seed,
 //! the JSON-lines artifact is byte-identical regardless of `--threads`
-//! (the across-point pool) and `--point-threads` (bound-weave
-//! simulation threads inside each point).
+//! (the across-point pool; each point simulates on one host thread).
 
 use std::process::ExitCode;
 
-use minnow_bench::cli::{validate_point_budget, write_with_parents, ArgStream};
+use minnow_bench::cli::{write_with_parents, ArgStream};
 use minnow_bench::runner::InputSpec;
 use minnow_bench::sweep::{run_sweep, IngestStats, Sweep, SweepConfig, SweepParams};
 use minnow_graph::image::LoadMode;
@@ -32,10 +31,6 @@ struct Args {
     list: bool,
     dry_run: bool,
     threads: Option<usize>,
-    point_threads: Option<usize>,
-    pin_point_threads: bool,
-    front_shards: Option<usize>,
-    speculate: Option<bool>,
     filter: Option<String>,
     out: String,
     scale: Option<f64>,
@@ -59,34 +54,6 @@ sweeps: fig15 | fig16 | credits | channels | smoke
 options:
   --threads N     sweep-pool worker threads (default: MINNOW_SWEEP_THREADS
                   or the machine's available parallelism)
-  --point-threads N
-                  host threads simulating each single point (default 1;
-                  N >= 2 enables sharded bound-weave mode — simulated
-                  results and every artifact stay byte-identical, only
-                  host wall-clock changes; traced points always run
-                  serially). An adaptive fallback runs tiny points
-                  serially so N >= 2 is never a wall-clock regression
-  --pin-point-threads
-                  disable the adaptive fallback: always shard when
-                  --point-threads >= 2, even for tiny workloads or on
-                  narrow hosts (determinism testing; outcomes are
-                  identical either way)
-  --front-shards N
-                  split each point's --point-threads budget explicitly:
-                  N front threads own contiguous blocks of simulated
-                  cores (relaying the simulation spine on the epoch
-                  min-clock), the rest serve as weave lanes. Requires
-                  --point-threads >= 2 and N within the budget. Default:
-                  the planner splits the budget evenly. Artifacts are
-                  byte-identical for every split
-  --speculate on|off
-                  speculative shard overlap: with >= 2 front shards,
-                  idle shards pre-execute the private prefix of their
-                  next task in canonical order and the holder commits
-                  validated records (default on; also settable via
-                  MINNOW_SPECULATE). Artifacts are byte-identical either
-                  way — only host wall-clock and the --bench-out
-                  speculation counters change
   --filter STR    run only points whose id contains STR
   --out DIR       artifact directory (default target/minnow-sweep)
   --scale X       input scale factor (default: MINNOW_BENCH_SCALE or 0.3)
@@ -129,10 +96,6 @@ fn parse_args() -> Result<Args, String> {
         list: false,
         dry_run: false,
         threads: None,
-        point_threads: None,
-        pin_point_threads: false,
-        front_shards: None,
-        speculate: None,
         filter: None,
         out: "target/minnow-sweep".into(),
         scale: None,
@@ -152,22 +115,6 @@ fn parse_args() -> Result<Args, String> {
             "--list" => args.list = true,
             "--dry-run" => args.dry_run = true,
             "--threads" => args.threads = Some(argv.parse_at_least("--threads", 1)? as usize),
-            "--point-threads" => {
-                args.point_threads = Some(argv.parse_at_least("--point-threads", 1)? as usize)
-            }
-            "--pin-point-threads" => args.pin_point_threads = true,
-            "--front-shards" => {
-                args.front_shards = Some(argv.parse_at_least("--front-shards", 1)? as usize)
-            }
-            "--speculate" => {
-                args.speculate = Some(match argv.value("--speculate")?.as_str() {
-                    "on" | "1" | "true" => true,
-                    "off" | "0" | "false" => false,
-                    other => {
-                        return Err(format!("--speculate expects on|off, got `{other}`"))
-                    }
-                })
-            }
             "--filter" => args.filter = Some(argv.value("--filter")?),
             "--out" => args.out = argv.value("--out")?,
             "--scale" => args.scale = Some(argv.parse("--scale")?),
@@ -190,11 +137,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if !args.list && args.sweep.is_none() {
         return Err("missing sweep name".into());
-    }
-    if let Some(warning) =
-        validate_point_budget(args.point_threads, args.front_shards, args.pin_point_threads)?
-    {
-        eprintln!("{warning}");
     }
     Ok(args)
 }
@@ -235,12 +177,6 @@ fn main() -> ExitCode {
     if let Some(threads) = args.threads {
         cfg.threads = threads;
     }
-    if let Some(pt) = args.point_threads {
-        cfg.point_threads = pt;
-    }
-    cfg.pin_point_threads = args.pin_point_threads;
-    cfg.front_shards = args.front_shards;
-    cfg.speculate = args.speculate;
     cfg.filter = args.filter.clone();
     cfg.trace = args.trace_out.is_some();
 

@@ -1,10 +1,7 @@
 //! Property-based tests over the core data structures and invariants.
 
-use std::sync::OnceLock;
-
 use proptest::prelude::*;
 
-use minnow::bench::runner::BenchRun;
 use minnow::bench::sweep::{Sweep, SweepConfig, SweepParams};
 use minnow::engine::CreditPool;
 use minnow::graph::Csr;
@@ -211,29 +208,6 @@ fn any_sweep_params() -> impl Strategy<Value = SweepParams> {
         seed,
         headline_threads: headline,
         max_threads: max,
-    })
-}
-
-/// Reference points for the bound-weave epoch property: two fig16
-/// configurations at the golden parameters (scale 0.04, seed 42 — the
-/// exact sweep `tests/golden_reports.rs` pins, so the serial makespans
-/// computed here *are* the golden makespans), chosen to exercise both
-/// deferral paths — WDP prefetch fills and plain demand charges.
-fn weave_reference_points() -> &'static Vec<(String, BenchRun, u64)> {
-    static REF: OnceLock<Vec<(String, BenchRun, u64)>> = OnceLock::new();
-    REF.get_or_init(|| {
-        let params = SweepParams {
-            scale: 0.04,
-            seed: 42,
-            headline_threads: 16,
-            max_threads: 64,
-        };
-        Sweep::fig16(&params)
-            .points
-            .iter()
-            .filter(|p| p.id == "fig16/SSSP/wdp" || p.id == "fig16/CC/minnow")
-            .map(|p| (p.id.clone(), p.run.clone(), p.run.execute().makespan))
-            .collect()
     })
 }
 
@@ -590,144 +564,6 @@ proptest! {
             prop_assert_eq!(forward.core(core).total(), makespan);
         }
         prop_assert_eq!(forward.merged().total(), makespan * cores as u64);
-    }
-
-    /// Bound-weave scheduling knobs are outcome-neutral: for any epoch
-    /// length, in-flight cap, and thread count, the woven simulation
-    /// reproduces the golden fig16 makespans exactly. Epochs only decide
-    /// *when* the executor drains the weave, and the cap only bounds how
-    /// many fetches ride in flight — neither may leak into simulated time.
-    /// Runs are pinned so the shards actually engage: the reference
-    /// points sit below the adaptive-fallback threshold.
-    #[test]
-    fn weave_epoch_preserves_golden_makespans(epoch in 1u64..300_000,
-                                              cap in 1usize..1024,
-                                              point_threads in 2usize..5) {
-        for (id, run, golden) in weave_reference_points() {
-            let mut woven = run.clone();
-            woven.point_threads = point_threads;
-            woven.pin_point_threads = true;
-            woven.weave_epoch = Some(epoch);
-            woven.weave_inflight = Some(cap);
-            let report = woven.execute();
-            prop_assert_eq!(report.makespan, *golden,
-                "{}: epoch {} cap {} threads {} changed the makespan",
-                id, epoch, cap, point_threads);
-        }
-    }
-
-    /// Schedule fuzzing for the sharded weave: random shard counts,
-    /// epoch lengths, drain caps, *and* injected per-shard stalls (the
-    /// test-only `MINNOW_SHARD_STALL_NS` hook skews each lane's
-    /// real-time progress by a different amount) must never change the
-    /// golden fig16 makespans. Whatever interleaving the host scheduler
-    /// produces, the ticket scoreboard forces the serial order.
-    #[test]
-    fn shard_schedule_fuzzing_preserves_golden_makespans(
-        point_threads in 2usize..10,
-        epoch in 1u64..200_000,
-        cap in 1usize..512,
-        stall_ns in 0u64..3_000,
-    ) {
-        std::env::set_var("MINNOW_SHARD_STALL_NS", stall_ns.to_string());
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for (id, run, golden) in weave_reference_points() {
-                let mut woven = run.clone();
-                woven.point_threads = point_threads;
-                woven.pin_point_threads = true;
-                woven.weave_epoch = Some(epoch);
-                woven.weave_inflight = Some(cap);
-                let report = woven.execute();
-                assert_eq!(report.makespan, *golden,
-                    "{id}: shards {point_threads} epoch {epoch} cap {cap} \
-                     stall {stall_ns}ns changed the makespan");
-            }
-        }));
-        std::env::remove_var("MINNOW_SHARD_STALL_NS");
-        if let Err(e) = outcome {
-            std::panic::resume_unwind(e);
-        }
-    }
-
-    /// Schedule fuzzing for the sharded front: random front/lane splits
-    /// of the point budget, epoch lengths, *and* injected per-front-
-    /// thread stalls (the test-only `MINNOW_FRONT_STALL_NS` hook delays
-    /// each front shard's baton receipt by a different amount) must
-    /// never change the golden fig16 makespans. Whatever real-time skew
-    /// the host scheduler adds, the turn relay hands the spine over in
-    /// canonical (clock, core) order.
-    #[test]
-    fn front_schedule_fuzzing_preserves_golden_makespans(
-        point_threads in 2usize..6,
-        front_pick in 1usize..6,
-        epoch in 1u64..200_000,
-        stall_ns in 0u64..3_000,
-    ) {
-        let front = front_pick.min(point_threads);
-        std::env::set_var("MINNOW_FRONT_STALL_NS", stall_ns.to_string());
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for (id, run, golden) in weave_reference_points() {
-                let mut split = run.clone();
-                split.point_threads = point_threads;
-                split.pin_point_threads = true;
-                split.front_shards = Some(front);
-                split.weave_epoch = Some(epoch);
-                let report = split.execute();
-                assert_eq!(report.makespan, *golden,
-                    "{id}: budget {point_threads} front {front} epoch {epoch} \
-                     stall {stall_ns}ns changed the makespan");
-                assert_eq!(
-                    report.front_threads_used + report.lane_threads_used,
-                    point_threads,
-                    "{id}: the split must spend the whole pinned budget"
-                );
-            }
-        }));
-        std::env::remove_var("MINNOW_FRONT_STALL_NS");
-        if let Err(e) = outcome {
-            std::panic::resume_unwind(e);
-        }
-    }
-
-    /// Rollback-storm fuzzing for speculative shard overlap: random
-    /// front splits, injected baton-latency skew, *and* the test-only
-    /// `MINNOW_SPEC_FORCE_ROLLBACK` hook (which discards every Nth
-    /// consumed speculation as if validation had failed) must never
-    /// change the golden fig16 makespans. Whether a pre-executed prefix
-    /// commits or replays is pure wall-clock; the simulated outcome is
-    /// pinned to the serial order either way.
-    #[test]
-    fn speculation_rollback_storms_preserve_golden_makespans(
-        point_threads in 2usize..6,
-        front_pick in 2usize..6,
-        force_every in 1u64..8,
-        stall_ns in 0u64..2_000,
-    ) {
-        let front = front_pick.min(point_threads);
-        std::env::set_var("MINNOW_FRONT_STALL_NS", stall_ns.to_string());
-        std::env::set_var("MINNOW_SPEC_FORCE_ROLLBACK", force_every.to_string());
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for (id, run, golden) in weave_reference_points() {
-                let mut spec = run.clone();
-                spec.point_threads = point_threads;
-                spec.pin_point_threads = true;
-                spec.front_shards = Some(front);
-                spec.speculate = Some(true);
-                let report = spec.execute();
-                assert_eq!(report.makespan, *golden,
-                    "{id}: budget {point_threads} front {front} forced rollback \
-                     every {force_every} stall {stall_ns}ns changed the makespan");
-                assert!(
-                    report.spec_commits + report.spec_rollbacks <= report.spec_attempts,
-                    "{id}: consumed speculations exceed the attempted"
-                );
-            }
-        }));
-        std::env::remove_var("MINNOW_SPEC_FORCE_ROLLBACK");
-        std::env::remove_var("MINNOW_FRONT_STALL_NS");
-        if let Err(e) = outcome {
-            std::panic::resume_unwind(e);
-        }
     }
 
     /// CSR construction round-trips an arbitrary edge list.

@@ -29,19 +29,7 @@ fn served_sweep_is_byte_identical_cold_warm_and_across_restart() {
     params.scale = 0.05;
     params.seed = 7;
     let sweep = Sweep::named("smoke", &params).unwrap();
-    let direct = run_sweep(
-        &sweep,
-        &SweepConfig {
-            threads: 1,
-            filter: None,
-            trace: false,
-            point_threads: 1,
-            input: None,
-            pin_point_threads: false,
-            front_shards: None,
-            speculate: None,
-        },
-    );
+    let direct = run_sweep(&sweep, &SweepConfig::serial());
     let direct_jsonl = direct.jsonl();
     let direct_breakdown = direct.breakdown_jsonl();
     assert!(!direct.points.is_empty());
