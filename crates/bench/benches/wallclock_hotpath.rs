@@ -5,7 +5,10 @@
 //!
 //! * the packed SoA cache model (`Cache::access`/`fill` throughput),
 //! * the gap-filling occupancy timeline behind NoC links, DRAM channels,
-//!   and software serialization points (`GapTracker::reserve`),
+//!   and software serialization points (`GapTracker::reserve`), in three
+//!   regimes: a drifting out-of-order stream, a saturated channel whose
+//!   reservations queue back to back, and NoC-like inserts a few slots
+//!   below the newest reservation,
 //! * full executor runs of one fig16-style point per scheduler, i.e. the
 //!   dequeue → record → charge → enqueue inner loop end to end.
 //!
@@ -60,24 +63,49 @@ fn bench_packed_cache(c: &mut Criterion) {
     });
 }
 
+/// One request of a timeline regime: `(timeline, lcg state, step)`.
+type GapRequest = fn(&mut GapTracker, &mut u64, u64);
+
 fn bench_gap_tracker(c: &mut Criterion) {
-    // Out-of-order reservations with a drifting base time: the steady
-    // state keeps the window full, which is exactly the regime the NoC
-    // links and DRAM channels run in mid-simulation.
-    c.bench_function("hotpath/gap_tracker_reserve_steady_state", |b| {
-        b.iter_batched(
-            GapTracker::new,
-            |mut t| {
-                let mut state = 0x9e37_79b9u64;
-                for i in 0..4096u64 {
-                    let jitter = lcg(&mut state) % 64;
-                    black_box(t.reserve(i * 4 + jitter, 2));
-                }
-                black_box(t.horizon())
-            },
-            BatchSize::SmallInput,
-        );
-    });
+    // Three request regimes, each run long enough to keep the window at
+    // its 256-reservation cap, which is where NoC links and DRAM channels
+    // sit mid-simulation.
+    let regimes: [(&str, GapRequest); 3] = [
+        // Out-of-order reservations with a drifting base time.
+        ("reserve_steady_state", |t, state, i| {
+            let jitter = lcg(state) % 64;
+            black_box(t.reserve(i * 4 + jitter, 2));
+        }),
+        // A saturated DRAM channel: requests arrive faster than the
+        // service time, so every reservation queues back to back behind
+        // the backlog.
+        ("reserve_saturated_channel", |t, state, i| {
+            let jitter = lcg(state) % 16;
+            black_box(t.reserve(i * 4 + jitter, 8));
+        }),
+        // A NoC link: packets land a few slots below the newest
+        // reservation, filling gaps near the tail of the window.
+        ("reserve_noc_tail_inserts", |t, state, i| {
+            let back = lcg(state) % 48;
+            let now = (i * 6).max(t.horizon().saturating_sub(back));
+            black_box(t.reserve(now, 1 + back % 3));
+        }),
+    ];
+    for (name, step) in regimes {
+        c.bench_function(format!("hotpath/gap_tracker_{name}"), |b| {
+            b.iter_batched(
+                GapTracker::new,
+                |mut t| {
+                    let mut state = 0x9e37_79b9u64;
+                    for i in 0..4096u64 {
+                        step(&mut t, &mut state, i);
+                    }
+                    black_box(t.horizon())
+                },
+                BatchSize::SmallInput,
+            );
+        });
+    }
 }
 
 fn bench_hierarchy_demand_stream(c: &mut Criterion) {

@@ -15,6 +15,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+use fxhash::FxHashSet;
 use minnow_graph::{AddressMap, Csr};
 use minnow_runtime::{PrefetchKind, Task};
 use minnow_sim::config::EngineParams;
@@ -31,59 +32,83 @@ pub fn program_lines(
     map: &AddressMap,
     task: &Task,
 ) -> Vec<u64> {
-    let mut lines: Vec<u64> = Vec::new();
-    let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut push = |addr: u64| {
-        let line = addr & !63;
-        if seen.insert(line) {
-            lines.push(line);
-        }
-    };
+    let mut scratch = ProgramScratch::default();
+    scratch.expand(kind, graph, map, task);
+    scratch.lines
+}
 
-    let v = task.node;
-    // Source node record.
-    push(map.node_addr(v));
-    let degree = graph.out_degree(v);
-    let range = task.resolve_range(degree);
-    let base = graph.edge_range(v).start;
+/// Buffers reused across [`ProgramScratch::expand`] calls, so a scheduler
+/// expands one program per accepted task without allocating.
+#[derive(Debug, Default)]
+pub struct ProgramScratch {
+    lines: Vec<u64>,
+    seen: FxHashSet<u64>,
+}
 
-    match kind {
-        PrefetchKind::Standard => {
-            // Edges, then destination nodes (prefetchEdge per edge).
-            for slot in range.clone() {
-                push(map.edge_addr(base + slot));
+impl ProgramScratch {
+    /// The lines of [`program_lines`], held in the reused buffers.
+    pub fn expand(
+        &mut self,
+        kind: PrefetchKind,
+        graph: &Csr,
+        map: &AddressMap,
+        task: &Task,
+    ) -> &[u64] {
+        self.lines.clear();
+        self.seen.clear();
+        let (lines, seen) = (&mut self.lines, &mut self.seen);
+        let mut push = |addr: u64| {
+            let line = addr & !63;
+            if seen.insert(line) {
+                lines.push(line);
             }
-            for slot in range {
-                let dst = graph.edge_dst(base + slot);
-                push(map.node_addr(dst));
+        };
+
+        let v = task.node;
+        // Source node record.
+        push(map.node_addr(v));
+        let degree = graph.out_degree(v);
+        let range = task.resolve_range(degree);
+        let base = graph.edge_range(v).start;
+
+        match kind {
+            PrefetchKind::Standard => {
+                // Edges, then destination nodes (prefetchEdge per edge).
+                for slot in range.clone() {
+                    push(map.edge_addr(base + slot));
+                }
+                for slot in range {
+                    let dst = graph.edge_dst(base + slot);
+                    push(map.node_addr(dst));
+                }
             }
-        }
-        PrefetchKind::TriangleCounting => {
-            for slot in range.clone() {
-                push(map.edge_addr(base + slot));
-            }
-            // For each neighbor: its node record plus the top of its
-            // adjacency binary-search tree (the probe lines every search
-            // through that list shares).
-            for slot in range {
-                let u = graph.edge_dst(base + slot);
-                push(map.node_addr(u));
-                let r = graph.edge_range(u);
-                let (mut lo, mut hi) = (r.start, r.end);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    push(map.edge_addr(mid));
-                    // Walk toward the middle: the expected probe path.
-                    if hi - lo <= 4 {
-                        break;
+            PrefetchKind::TriangleCounting => {
+                for slot in range.clone() {
+                    push(map.edge_addr(base + slot));
+                }
+                // For each neighbor: its node record plus the top of its
+                // adjacency binary-search tree (the probe lines every search
+                // through that list shares).
+                for slot in range {
+                    let u = graph.edge_dst(base + slot);
+                    push(map.node_addr(u));
+                    let r = graph.edge_range(u);
+                    let (mut lo, mut hi) = (r.start, r.end);
+                    while lo < hi {
+                        let mid = lo + (hi - lo) / 2;
+                        push(map.edge_addr(mid));
+                        // Walk toward the middle: the expected probe path.
+                        if hi - lo <= 4 {
+                            break;
+                        }
+                        lo = lo + (mid - lo) / 2;
+                        hi = mid + (hi - mid) / 2 + 1;
                     }
-                    lo = lo + (mid - lo) / 2;
-                    hi = mid + (hi - mid) / 2 + 1;
                 }
             }
         }
+        &self.lines
     }
-    lines
 }
 
 /// Statistics of one engine's prefetch pipeline.
@@ -297,6 +322,17 @@ mod tests {
             &Task::with_range(0, 0, 0, 1),
         );
         assert!(part.len() < whole.len());
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_expansion() {
+        let g = chain_graph();
+        let map = AddressMap::standard();
+        let mut scratch = ProgramScratch::default();
+        for task in [Task::new(0, 0), Task::new(1, 0), Task::new(0, 0)] {
+            let fresh = program_lines(PrefetchKind::Standard, &g, &map, &task);
+            assert_eq!(scratch.expand(PrefetchKind::Standard, &g, &map, &task), &fresh[..]);
+        }
     }
 
     #[test]

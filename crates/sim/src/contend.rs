@@ -18,14 +18,23 @@
 //! share of the cycle breakdown (Fig. 5), and CC's scalability collapse past
 //! 16 threads (Fig. 15).
 
-use std::collections::VecDeque;
-
 use crate::cycles::Cycle;
-use crate::stats::{Counter, Distribution};
+use crate::stats::Counter;
 
-/// Maximum tracked future busy intervals; the oldest are dropped beyond
-/// this (far more than any realistic number of in-flight operations).
+/// Maximum reservations a timeline remembers (far more than any realistic
+/// number of in-flight operations). Past the cap, the two oldest
+/// reservations are coalesced into one, closing the gap between them: past
+/// occupancy is never forgotten, only coarsened.
 const MAX_INTERVALS: usize = 256;
+
+/// A maximal busy run: `reservations` back-to-back reservations covering
+/// `[start, end)` without a gap.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: Cycle,
+    end: Cycle,
+    reservations: u32,
+}
 
 /// A single-server occupancy timeline that accepts out-of-order requests.
 ///
@@ -33,9 +42,18 @@ const MAX_INTERVALS: usize = 256;
 /// after `now`, gap-filling between existing reservations. Used by
 /// [`SharedResource`], NoC links, and DRAM channels — anywhere one physical
 /// resource serves requests arriving at non-monotonic virtual times.
+///
+/// Reservations that touch are stored as one run, so a saturated channel
+/// is a handful of runs rather than hundreds of back-to-back intervals.
+/// The runs live in a sliding `Vec`: coalescing retires front slots by
+/// advancing `head`, and retired slots are compacted in bulk.
 #[derive(Debug, Clone, Default)]
 pub struct GapTracker {
-    busy: VecDeque<(Cycle, Cycle)>,
+    /// `runs[head..]` are live, in time order, separated by non-empty gaps.
+    runs: Vec<Run>,
+    head: usize,
+    /// Reservations held by the live runs (at most [`MAX_INTERVALS`]).
+    reservations: usize,
 }
 
 impl GapTracker {
@@ -50,39 +68,77 @@ impl GapTracker {
         if duration == 0 {
             return now;
         }
-        // Intervals are non-overlapping with both starts and ends strictly
-        // increasing (each insert lands in a gap), so an interval ending at
-        // or before `now` can neither host this reservation (its successor
-        // would have to start >= now + duration > its own end) nor raise
-        // `begin` above `now`. Binary-search past them instead of scanning:
-        // in steady state almost the whole window is history.
-        let mut lo = 0usize;
-        let mut hi = self.busy.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.busy[mid].1 <= now {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let mut begin = now;
-        let mut insert_at = self.busy.len();
-        for i in lo..self.busy.len() {
-            let (s, e) = self.busy[i];
-            if begin + duration <= s {
-                insert_at = i;
+        // Runs are disjoint with strictly increasing starts and ends, so a
+        // run ending at or before `now` can neither host this reservation
+        // nor raise `begin` above `now`. Requests mostly land near the
+        // newest run: gallop back from it to bracket the first run ending
+        // after `now`, then binary-search the bracket.
+        let live = &self.runs[self.head..];
+        let (mut lo, mut hi, mut step) = (0, live.len(), 1);
+        while hi > 0 {
+            let probe = hi.saturating_sub(step);
+            if live[probe].end <= now {
+                lo = probe + 1;
                 break;
             }
-            begin = begin.max(e);
+            hi = probe;
+            step *= 2;
         }
-        self.busy.insert(insert_at, (begin, begin + duration));
-        if self.busy.len() > MAX_INTERVALS {
-            // Coalesce the two earliest intervals (closing the gap between
-            // them) so past occupancy is never forgotten, only coarsened.
-            let (s0, _) = self.busy.pop_front().expect("len > cap");
-            if let Some(front) = self.busy.front_mut() {
-                front.0 = s0.min(front.0);
+        let mut at = lo + live[lo..hi].partition_point(|r| r.end <= now);
+        let mut begin = now;
+        while at < live.len() && begin + duration > live[at].start {
+            begin = begin.max(live[at].end);
+            at += 1;
+        }
+        let end = begin + duration;
+        let at = self.head + at;
+        let joins_prev = at > self.head && self.runs[at - 1].end == begin;
+        let joins_next = at < self.runs.len() && self.runs[at].start == end;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                let next = self.runs.remove(at);
+                let prev = &mut self.runs[at - 1];
+                prev.end = next.end;
+                prev.reservations += next.reservations + 1;
+            }
+            (true, false) => {
+                let prev = &mut self.runs[at - 1];
+                prev.end = end;
+                prev.reservations += 1;
+            }
+            (false, true) => {
+                let next = &mut self.runs[at];
+                next.start = begin;
+                next.reservations += 1;
+            }
+            (false, false) => self.runs.insert(
+                at,
+                Run {
+                    start: begin,
+                    end,
+                    reservations: 1,
+                },
+            ),
+        }
+        self.reservations += 1;
+        if self.reservations > MAX_INTERVALS {
+            self.reservations = MAX_INTERVALS;
+            // Coalesce the two oldest reservations. Inside one run they
+            // already touch; otherwise the lone front reservation joins
+            // the next run and the gap between them closes.
+            let front = &mut self.runs[self.head];
+            if front.reservations > 1 {
+                front.reservations -= 1;
+            } else {
+                let start = front.start;
+                self.head += 1;
+                self.runs[self.head].start = start;
+                // Compact once retired slots outnumber live runs: the Vec
+                // stays within twice the live window, at O(1) amortized.
+                if 2 * self.head >= self.runs.len() {
+                    self.runs.drain(..self.head);
+                    self.head = 0;
+                }
             }
         }
         begin
@@ -90,7 +146,7 @@ impl GapTracker {
 
     /// The latest reserved end time (0 when idle).
     pub fn horizon(&self) -> Cycle {
-        self.busy.back().map_or(0, |&(_, e)| e)
+        self.runs.last().map_or(0, |r| r.end)
     }
 }
 
@@ -114,7 +170,6 @@ pub struct SharedResource {
     handoff_cost: Cycle,
     acquisitions: Counter,
     handoffs: Counter,
-    wait: Distribution,
 }
 
 impl SharedResource {
@@ -128,7 +183,6 @@ impl SharedResource {
             handoff_cost,
             acquisitions: Counter::new(),
             handoffs: Counter::new(),
-            wait: Distribution::new(),
         }
     }
 
@@ -149,7 +203,6 @@ impl SharedResource {
         let start = begin + handoff;
         let done = begin + duration;
         let waited = start - now;
-        self.wait.record(waited as f64);
         Acquire { start, done, waited }
     }
 
@@ -166,11 +219,6 @@ impl SharedResource {
     /// Acquisitions that required a cross-core hand-off.
     pub fn handoffs(&self) -> u64 {
         self.handoffs.get()
-    }
-
-    /// Wait-time distribution across acquisitions.
-    pub fn wait(&self) -> &Distribution {
-        &self.wait
     }
 }
 
@@ -255,16 +303,48 @@ mod tests {
             r.acquire(0, i * 100, 10);
         }
         assert!(r.acquisitions() == 10_000);
-        // Window stayed bounded (internal invariant; horizon still sane).
-        assert!(r.horizon() >= 999_900);
+        // Every acquisition left a gap, so each is its own run: the window
+        // holds exactly the cap, and retired slots never outnumber it.
+        let t = &r.timeline;
+        assert_eq!(t.reservations, MAX_INTERVALS);
+        assert_eq!(t.runs.len() - t.head, MAX_INTERVALS);
+        assert!(t.head < MAX_INTERVALS);
+        assert_eq!(r.horizon(), 999_910);
     }
 
     #[test]
-    fn wait_distribution_records_all_acquisitions() {
+    fn acquisitions_and_handoffs_are_counted() {
         let mut r = SharedResource::new(10);
         r.acquire(0, 0, 5);
-        r.acquire(1, 0, 5);
-        assert_eq!(r.wait().count(), 2);
+        let b = r.acquire(1, 0, 5);
+        assert_eq!(b.waited, 15);
         assert_eq!(r.acquisitions(), 2);
+        assert_eq!(r.handoffs(), 1);
+    }
+
+    #[test]
+    fn saturated_timeline_collapses_to_one_run() {
+        let mut t = GapTracker::new();
+        for i in 0..1000u64 {
+            // Every request arrives before the backlog drains.
+            assert_eq!(t.reserve(i, 8), i.max(8 * i));
+        }
+        assert_eq!(t.runs.len() - t.head, 1);
+        assert_eq!(t.reservations, MAX_INTERVALS);
+        assert_eq!(t.horizon(), 8000);
+    }
+
+    #[test]
+    fn coalescing_closes_the_oldest_gap() {
+        let mut t = GapTracker::new();
+        // 256 isolated reservations fill the window; the next one merges
+        // the two oldest, so [0,1) and [10,11) become [0,11).
+        for i in 0..=MAX_INTERVALS as u64 {
+            t.reserve(i * 10, 1);
+        }
+        let front = t.runs[t.head];
+        assert_eq!((front.start, front.end, front.reservations), (0, 11, 1));
+        // The closed gap can no longer host a request.
+        assert_eq!(t.reserve(5, 1), 11);
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::contend::GapTracker;
 use crate::cycles::Cycle;
-use crate::stats::{Counter, Distribution, Histogram};
+use crate::stats::{Counter, Histogram};
 
 /// A tile coordinate on the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +30,6 @@ pub struct Noc {
     links: Vec<GapTracker>,
     packets: Counter,
     total_hops: Counter,
-    queueing: Distribution,
     queue_hist: Histogram,
 }
 
@@ -60,7 +59,6 @@ impl Noc {
             links: vec![GapTracker::new(); width * width * 4],
             packets: Counter::new(),
             total_hops: Counter::new(),
-            queueing: Distribution::new(),
             queue_hist: Histogram::new(),
         }
     }
@@ -130,7 +128,6 @@ impl Noc {
             hops = 1;
         }
         self.total_hops.add(hops);
-        self.queueing.record(queued as f64);
         self.queue_hist.record(queued);
         at - now
     }
@@ -155,11 +152,6 @@ impl Noc {
         } else {
             self.total_hops.get() as f64 / self.packets.get() as f64
         }
-    }
-
-    /// Queueing-delay distribution across routed packets.
-    pub fn queueing(&self) -> &Distribution {
-        &self.queueing
     }
 
     /// Log2-bucketed histogram of per-packet link-queueing delays
@@ -218,7 +210,7 @@ mod tests {
         noc.route(0, 5, 64, 100);
         assert_eq!(noc.packets(), 2);
         assert!(noc.mean_hops() > 0.0);
-        assert_eq!(noc.queueing().count(), 2);
+        assert_eq!(noc.queue_histogram().count(), 2);
     }
 
     #[test]

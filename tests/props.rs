@@ -12,6 +12,7 @@ use minnow::sim::cache::Cache;
 use minnow::sim::config::CacheParams;
 use minnow::sim::contend::GapTracker;
 use minnow::sim::stats::{CycleAccounting, CycleBin, Histogram};
+use std::collections::VecDeque;
 
 fn any_task() -> impl Strategy<Value = Task> {
     (0u64..1000, 0u32..500).prop_map(|(p, n)| Task::new(p, n))
@@ -182,6 +183,74 @@ impl OracleCache {
     fn marked(&self) -> usize {
         self.slots.iter().flatten().filter(|l| l.prefetch).count()
     }
+}
+
+/// The interval-per-reservation timeline `GapTracker` replaced, kept as
+/// the reference for the run-length implementation: one `(start, end)` per
+/// reservation, a linear gap-fill scan, and the same 256-reservation cap
+/// that closes the gap between the two oldest reservations.
+#[derive(Default)]
+struct OracleGapTracker {
+    busy: VecDeque<(u64, u64)>,
+}
+
+impl OracleGapTracker {
+    fn reserve(&mut self, now: u64, duration: u64) -> u64 {
+        if duration == 0 {
+            return now;
+        }
+        let lo = self.busy.partition_point(|&(_, e)| e <= now);
+        let mut begin = now;
+        let mut insert_at = self.busy.len();
+        for i in lo..self.busy.len() {
+            let (s, e) = self.busy[i];
+            if begin + duration <= s {
+                insert_at = i;
+                break;
+            }
+            begin = begin.max(e);
+        }
+        self.busy.insert(insert_at, (begin, begin + duration));
+        if self.busy.len() > 256 {
+            let (s0, _) = self.busy.pop_front().unwrap();
+            let front = self.busy.front_mut().unwrap();
+            front.0 = s0.min(front.0);
+        }
+        begin
+    }
+
+    fn horizon(&self) -> u64 {
+        self.busy.back().map_or(0, |&(_, e)| e)
+    }
+}
+
+/// One timeline request of the gap-tracker differential property. The
+/// test resolves it against a clock that drifts forward every step.
+#[derive(Debug, Clone, Copy)]
+enum GapReq {
+    /// Just below the horizon: the NoC-link pattern of inserts near the
+    /// newest reservations.
+    NearTail { back: u64, dur: u64 },
+    /// At the previous request's time: queues back to back, as on a
+    /// saturated DRAM channel.
+    BackToBack { dur: u64 },
+    /// Far behind the clock: deep in the window or below its oldest run.
+    FarPast { back: u64, dur: u64 },
+    /// A zero-length request, which must not touch the timeline.
+    Zero { back: u64 },
+}
+
+fn any_gap_req() -> impl Strategy<Value = GapReq> {
+    // Tail and back-to-back arms are listed twice to weight them: they
+    // are the fabric's common cases.
+    prop_oneof![
+        (0u64..64, 1u64..12).prop_map(|(back, dur)| GapReq::NearTail { back, dur }),
+        (0u64..64, 1u64..12).prop_map(|(back, dur)| GapReq::NearTail { back, dur }),
+        (1u64..12).prop_map(|dur| GapReq::BackToBack { dur }),
+        (1u64..12).prop_map(|dur| GapReq::BackToBack { dur }),
+        (0u64..1_500, 1u64..40).prop_map(|(back, dur)| GapReq::FarPast { back, dur }),
+        (0u64..1_500).prop_map(|back| GapReq::Zero { back }),
+    ]
 }
 
 /// Filter strings for the sweep-selection property: meaningful id
@@ -402,6 +471,34 @@ proptest! {
                     "overlap: [{begin},{}) vs [{s},{e})", begin + dur);
             }
             intervals.push((begin, begin + dur));
+        }
+    }
+
+    /// The run-length `GapTracker` is observably the interval-per-
+    /// reservation oracle: equal `begin` and `horizon` after every request,
+    /// over sequences long enough to hit the 256-reservation cap many times.
+    /// `pace` scales the clock drift, from a saturated timeline (one long
+    /// run) to a sparse one whose oldest gaps the cap must close.
+    #[test]
+    fn gap_tracker_matches_interval_oracle(
+        pace in 1u64..24,
+        reqs in prop::collection::vec((any_gap_req(), 0u64..8), 300..3000),
+    ) {
+        let mut g = GapTracker::new();
+        let mut oracle = OracleGapTracker::default();
+        let (mut clock, mut last) = (0u64, 0u64);
+        for (step, (req, drift)) in reqs.into_iter().enumerate() {
+            clock += drift * pace;
+            let (now, dur) = match req {
+                GapReq::NearTail { back, dur } => (oracle.horizon().saturating_sub(back), dur),
+                GapReq::BackToBack { dur } => (last, dur),
+                GapReq::FarPast { back, dur } => (clock.saturating_sub(back * pace), dur),
+                GapReq::Zero { back } => (clock.saturating_sub(back * pace), 0),
+            };
+            last = now;
+            prop_assert_eq!(g.reserve(now, dur), oracle.reserve(now, dur),
+                "begin diverged at step {}: {:?} at {}", step, req, now);
+            prop_assert_eq!(g.horizon(), oracle.horizon(), "horizon diverged at step {}", step);
         }
     }
 
