@@ -22,9 +22,14 @@ pub mod cli;
 pub mod eval;
 pub mod json;
 pub mod json_read;
+pub mod jsonl_log;
 pub mod runner;
 pub mod sweep;
 pub mod table;
+
+/// The workspace's FNV-1a/64 hasher, re-exported so crates that hash
+/// without reading graphs need no graph dependency of their own.
+pub use minnow_graph::image::Fnv;
 
 /// Input scale factor for all experiments.
 pub fn scale() -> f64 {

@@ -41,6 +41,7 @@ use minnow_sim::trace::{TraceEvent, Tracer};
 
 use crate::json::{escape, JsonObject};
 use crate::runner::{BenchRun, HwKind, InputSpec, SchedSpec};
+use crate::Fnv;
 
 /// Derives a point-input seed from the sweep seed and a stable key
 /// (FNV-1a over the key, finalized with a SplitMix64 mix).
@@ -49,13 +50,10 @@ use crate::runner::{BenchRun, HwKind, InputSpec, SchedSpec};
 /// enumeration order or thread identity, so adding or filtering points
 /// cannot change any other point's input.
 pub fn derive_seed(sweep_seed: u64, key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = Fnv::new();
+    h.update(key.as_bytes());
     // SplitMix64 finalizer over the combined state.
-    let mut z = sweep_seed ^ h;
+    let mut z = sweep_seed ^ h.finish();
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

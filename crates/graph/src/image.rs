@@ -99,16 +99,26 @@ impl LoadMode {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Incremental 64-bit FNV-1a, used for the per-section digests.
+/// Incremental 64-bit FNV-1a: the workspace's one content hash, used
+/// for the image's per-section digests, sweep seed derivation and the
+/// serve store's input digests.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(u64);
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv::new()
+    }
+}
 
 impl Fnv {
-    pub(crate) fn new() -> Fnv {
+    /// A hasher over the empty string.
+    pub fn new() -> Fnv {
         Fnv(FNV_OFFSET)
     }
 
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
+    /// Feeds `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
         let mut h = self.0;
         for &b in bytes {
             h ^= b as u64;
@@ -117,7 +127,8 @@ impl Fnv {
         self.0 = h;
     }
 
-    pub(crate) fn finish(self) -> u64 {
+    /// The hash of every byte fed so far.
+    pub fn finish(self) -> u64 {
         self.0
     }
 }

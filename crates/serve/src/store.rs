@@ -20,19 +20,16 @@
 //!   external graphs (`gen` for generated inputs), so editing a graph
 //!   on disk invalidates its cached results even at the same path.
 //!
-//! The store is size-capped with LRU eviction and persists itself as
-//! an append-only JSONL file (`minnow-serve-store/v1`): one line per
-//! insert, replayed in order on open (later lines win), compacted when
-//! the file accumulates more dead lines than live entries. A torn final
-//! line (the daemon killed mid-append) is truncated away on open, so the
-//! next insert starts a fresh line instead of fusing with the torn bytes. Eviction is
-//! memory-only — an evicted entry whose line still sits in the file is
-//! resurrected on the next open, which is harmless for a cache (the cap
-//! is re-applied in replay order).
+//! The store is size-capped with LRU eviction and persists itself as a
+//! [`JsonlLog`] (`minnow-serve-store/v1`): one line per insert, replayed
+//! in order on open (later lines win, the cap re-applied in replay
+//! order; unparsable lines are skipped and counted). Whenever the file
+//! holds more than twice as many lines as live entries (plus slack), on
+//! open or after an insert, it is rewritten to the live entries alone,
+//! so evictions and superseded inserts never grow it without bound.
+//! Torn tails follow the log's rule (see [`minnow_bench::jsonl_log`]).
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::SystemTime;
@@ -40,7 +37,9 @@ use std::time::SystemTime;
 use minnow_bench::eval::{run_to_json, EvalReport};
 use minnow_bench::json::JsonObject;
 use minnow_bench::json_read::Json;
+use minnow_bench::jsonl_log::JsonlLog;
 use minnow_bench::runner::BenchRun;
+use minnow_bench::Fnv;
 
 use crate::stats::ServeStats;
 
@@ -49,12 +48,9 @@ pub const STORE_SCHEMA: &str = "minnow-serve-store/v1";
 
 /// FNV-1a over a byte string, the repo's stock 64-bit content hash.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.update(bytes);
+    h.finish()
 }
 
 /// Per-path digest memo: (file length, mtime) stamp plus the hex digest
@@ -129,10 +125,7 @@ struct Inner {
     entries: HashMap<String, Entry>,
     bytes: u64,
     tick: u64,
-    file: Option<File>,
-    /// Lines appended to the file since it was last compacted (live or
-    /// superseded); drives the compaction heuristic on open.
-    file_lines: u64,
+    log: Option<JsonlLog>,
 }
 
 /// The size-capped, persistent, content-addressed store.
@@ -142,6 +135,10 @@ pub struct Store {
     path: Option<PathBuf>,
     cap_bytes: u64,
     stats: Arc<ServeStats>,
+}
+
+fn header_line() -> String {
+    JsonObject::new().str("schema", STORE_SCHEMA).finish()
 }
 
 fn persist_line(key: &str, eval: &StoredEval) -> String {
@@ -166,92 +163,54 @@ impl Store {
         cap_bytes: u64,
         stats: Arc<ServeStats>,
     ) -> Result<Store, String> {
+        let cap_bytes = cap_bytes.max(1);
         let mut inner = Inner {
             entries: HashMap::new(),
             bytes: 0,
             tick: 0,
-            file: None,
-            file_lines: 0,
+            log: None,
         };
-        let mut skipped = 0usize;
         if let Some(p) = &path {
-            match std::fs::read_to_string(p) {
-                Ok(text) => {
-                    // Bytes after the last newline are a torn append:
-                    // drop them from the file before anything is
-                    // appended after them.
-                    let complete = text.rfind('\n').map_or(0, |i| i + 1);
-                    if complete < text.len() {
-                        if !text[complete..].trim().is_empty() {
-                            skipped += 1;
-                        }
-                        truncate(p, complete as u64)
-                            .map_err(|e| format!("store {}: {e}", p.display()))?;
+            let mut skipped = 0usize;
+            let log = JsonlLog::open(
+                p,
+                &header_line(),
+                |line| {
+                    let doc = Json::parse(line).ok();
+                    let schema = doc.as_ref().and_then(|d| d.str_field("schema").ok());
+                    match schema {
+                        Some(STORE_SCHEMA) => Ok(()),
+                        other => Err(std::io::Error::other(format!(
+                            "schema `{}`, expected `{STORE_SCHEMA}`",
+                            other.unwrap_or("?")
+                        ))),
                     }
-                    for line in text[..complete].lines() {
-                        if line.trim().is_empty() {
-                            continue;
+                },
+                |_, line| {
+                    // Isolated corruption: skip, keep serving.
+                    match Json::parse(line).and_then(|doc| parse_entry(&doc)) {
+                        Ok((key, eval)) => {
+                            insert_unlocked(&mut inner, &key, &eval, cap_bytes, None)
                         }
-                        inner.file_lines += 1;
-                        match Json::parse(line) {
-                            Ok(doc) if doc.get("schema").is_some() => {
-                                let schema = doc.str_field("schema").unwrap_or("?");
-                                if schema != STORE_SCHEMA {
-                                    return Err(format!(
-                                        "store {}: schema `{schema}`, expected `{STORE_SCHEMA}`",
-                                        p.display()
-                                    ));
-                                }
-                            }
-                            Ok(doc) => match parse_entry(&doc) {
-                                Ok((key, eval)) => {
-                                    insert_unlocked(&mut inner, &key, &eval, cap_bytes, None)
-                                }
-                                Err(_) => skipped += 1,
-                            },
-                            // Isolated corruption: skip, keep serving.
-                            Err(_) => skipped += 1,
-                        }
+                        Err(_) => skipped += 1,
                     }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(format!("store {}: {e}", p.display())),
-            }
+                    Ok(())
+                },
+            )
+            .map_err(|e| format!("store {}: {e}", p.display()))?;
             if skipped > 0 {
                 eprintln!(
                     "minnow-serve: store {}: skipped {skipped} unparsable line(s)",
                     p.display()
                 );
             }
-            // Compact when the file carries more dead weight than live
-            // entries (evictions and superseding inserts accumulate).
-            let live = inner.entries.len() as u64;
-            if inner.file_lines > live.saturating_mul(2) + 16 {
-                compact(p, &inner)?;
-                inner.file_lines = live;
-            }
-            if let Some(parent) = p.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)
-                        .map_err(|e| format!("store {}: {e}", p.display()))?;
-                }
-            }
-            let mut file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(p)
-                .map_err(|e| format!("store {}: {e}", p.display()))?;
-            if inner.file_lines == 0 {
-                let header = JsonObject::new().str("schema", STORE_SCHEMA).finish();
-                writeln!(file, "{header}").map_err(|e| format!("store {}: {e}", p.display()))?;
-                inner.file_lines = 1;
-            }
-            inner.file = Some(file);
+            inner.log = Some(log);
+            compact_if_bloated(&mut inner)?;
         }
         Ok(Store {
             inner: Mutex::new(inner),
             path,
-            cap_bytes: cap_bytes.max(1),
+            cap_bytes,
             stats,
         })
     }
@@ -275,11 +234,15 @@ impl Store {
     }
 
     /// Memoizes an evaluation: appends it to the persistence file
-    /// (fsynced — results are worth milliseconds each) and LRU-evicts
-    /// past the cap. Re-inserting a live key supersedes it.
+    /// (fsynced — results are worth milliseconds each), LRU-evicts past
+    /// the cap, and compacts the file once dead lines dominate it.
+    /// Re-inserting a live key supersedes it. Persistence is
+    /// best-effort: a full disk degrades the store to memory-only
+    /// rather than failing the evaluation that produced the result.
     pub fn insert(&self, key: &str, eval: &StoredEval) {
         let mut inner = self.inner.lock().unwrap();
         insert_unlocked(&mut inner, key, eval, self.cap_bytes, Some(&self.stats));
+        let _ = compact_if_bloated(&mut inner);
     }
 
     /// Live entry count.
@@ -331,14 +294,8 @@ fn insert_unlocked(
 ) {
     let line = persist_line(key, eval);
     let cost = line.len() as u64 + 1;
-    if let Some(file) = inner.file.as_mut() {
-        // Persistence is best-effort: a full disk degrades the store to
-        // memory-only rather than failing the evaluation that produced
-        // the result.
-        if writeln!(file, "{line}").is_ok() {
-            let _ = file.sync_data();
-            inner.file_lines += 1;
-        }
+    if let Some(log) = inner.log.as_mut() {
+        let _ = log.append([&line]);
     }
     inner.tick += 1;
     let tick = inner.tick;
@@ -370,34 +327,33 @@ fn insert_unlocked(
     }
 }
 
-fn truncate(path: &Path, len: u64) -> std::io::Result<()> {
-    let file = OpenOptions::new().write(true).open(path)?;
-    file.set_len(len)?;
-    file.sync_data()
-}
-
-fn compact(path: &Path, inner: &Inner) -> Result<(), String> {
-    let mut doc = String::new();
-    doc.push_str(&JsonObject::new().str("schema", STORE_SCHEMA).finish());
-    doc.push('\n');
-    // Rewrite live entries oldest-touch first so a replay reconstructs
-    // the same LRU order.
-    let mut live: Vec<(&String, &Entry)> = inner.entries.iter().collect();
-    live.sort_by_key(|(_, e)| e.last_used);
-    for (key, entry) in live {
-        doc.push_str(&persist_line(key, &entry.eval));
-        doc.push('\n');
+/// Rewrites the log to the live entries once it carries more dead
+/// weight than live entries (evictions and superseding inserts
+/// accumulate). Live entries go oldest-touch first so a replay
+/// reconstructs the same LRU order.
+fn compact_if_bloated(inner: &mut Inner) -> Result<(), String> {
+    let Some(log) = inner.log.as_mut() else {
+        return Ok(());
+    };
+    let live = inner.entries.len();
+    if log.lines() <= live.saturating_mul(2) + 16 {
+        return Ok(());
     }
-    let tmp = path.with_extension("compact.tmp");
-    std::fs::write(&tmp, &doc).map_err(|e| format!("store {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("store {}: {e}", path.display()))?;
-    Ok(())
+    let mut order: Vec<(&String, &Entry)> = inner.entries.iter().collect();
+    order.sort_by_key(|(_, e)| e.last_used);
+    log.rewrite(
+        &header_line(),
+        order.into_iter().map(|(key, e)| persist_line(key, &e.eval)),
+    )
+    .map_err(|e| format!("store compaction: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use minnow_algos::WorkloadKind;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
 
     fn report(makespan: u64) -> StoredEval {
         StoredEval {
@@ -484,7 +440,6 @@ mod tests {
         assert_eq!(reopened.get("b").unwrap().report.makespan, 2);
         // A torn final line (kill -9 mid-append) is skipped, not fatal.
         drop(reopened);
-        use std::io::Write as _;
         let mut f = OpenOptions::new().append(true).open(&p).unwrap();
         f.write_all(b"{\"key\":\"torn").unwrap();
         drop(f);
@@ -502,7 +457,6 @@ mod tests {
             let store = Store::open(Some(p.clone()), u64::MAX, Arc::clone(&stats)).unwrap();
             store.insert("a", &report(1));
         }
-        use std::io::Write as _;
         let mut f = OpenOptions::new().append(true).open(&p).unwrap();
         f.write_all(b"{\"key\":\"torn").unwrap();
         drop(f);
@@ -523,25 +477,70 @@ mod tests {
     }
 
     #[test]
-    fn compaction_drops_dead_lines_but_keeps_live_entries() {
-        let p = tmp("compact.jsonl");
+    fn complete_final_record_without_newline_survives_open() {
+        let p = tmp("no-newline.jsonl");
         let _ = std::fs::remove_file(&p);
         let stats = Arc::new(ServeStats::new());
+        drop(Store::open(Some(p.clone()), u64::MAX, Arc::clone(&stats)).unwrap());
+        // A daemon killed between a record's last byte and its newline.
+        let mut f = OpenOptions::new().append(true).open(&p).unwrap();
+        f.write_all(persist_line("a", &report(1)).as_bytes()).unwrap();
+        drop(f);
         {
             let store = Store::open(Some(p.clone()), u64::MAX, Arc::clone(&stats)).unwrap();
-            // 40 supersedes of one key: 41 body lines, 1 live entry.
-            for i in 0..40 {
-                store.insert("hot", &report(i));
-            }
-            store.insert("cold", &report(99));
+            assert_eq!(store.len(), 1, "the complete record is kept");
+            store.insert("b", &report(2));
         }
-        let before = std::fs::read_to_string(&p).unwrap().lines().count();
-        assert!(before > 20);
+        let reopened = Store::open(Some(p.clone()), u64::MAX, stats).unwrap();
+        assert_eq!(reopened.get("a").unwrap().report.makespan, 1);
+        assert_eq!(reopened.get("b").unwrap().report.makespan, 2);
+        let _ = std::fs::remove_file(&p);
+    }
+
+    #[test]
+    fn compaction_drops_dead_lines_but_keeps_live_entries() {
+        let p = tmp("compact.jsonl");
+        // A file written without running compaction: 40 supersedes of
+        // one key, then a second key — 41 body lines, 2 live entries.
+        let mut text = format!("{}\n", header_line());
+        for i in 0..40 {
+            text += &format!("{}\n", persist_line("hot", &report(i)));
+        }
+        text += &format!("{}\n", persist_line("cold", &report(99)));
+        std::fs::write(&p, text).unwrap();
+        let stats = Arc::new(ServeStats::new());
         let reopened = Store::open(Some(p.clone()), u64::MAX, stats).unwrap();
         assert_eq!(reopened.len(), 2);
         assert_eq!(reopened.get("hot").unwrap().report.makespan, 39);
         let after = std::fs::read_to_string(&p).unwrap().lines().count();
         assert_eq!(after, 3, "header + two live entries after compaction");
+        let _ = std::fs::remove_file(&p);
+    }
+
+    #[test]
+    fn evicting_inserts_keep_the_file_bounded_while_running() {
+        let p = tmp("running-compaction.jsonl");
+        let _ = std::fs::remove_file(&p);
+        let stats = Arc::new(ServeStats::new());
+        // A cap of roughly eight entries, driven through ten caps' worth
+        // of distinct keys: every insert past the first few evicts.
+        let line = persist_line("key-000", &report(1000)).len() as u64 + 1;
+        let store = Store::open(Some(p.clone()), line * 8, Arc::clone(&stats)).unwrap();
+        for i in 0..80 {
+            store.insert(&format!("key-{i:03}"), &report(1000 + i));
+            let lines = std::fs::read_to_string(&p).unwrap().lines().count();
+            assert!(
+                lines <= 2 * store.len() + 16,
+                "{lines} file lines for {} live entries",
+                store.len()
+            );
+        }
+        assert_eq!(stats.evictions.load(std::sync::atomic::Ordering::Relaxed), 72);
+        drop(store);
+        let reopened = Store::open(Some(p.clone()), line * 8, stats).unwrap();
+        assert_eq!(reopened.len(), 8);
+        assert_eq!(reopened.get("key-079").unwrap().report.makespan, 1079);
+        assert!(reopened.get("key-071").is_none(), "evicted entries stay evicted");
         let _ = std::fs::remove_file(&p);
     }
 }
